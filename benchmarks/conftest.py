@@ -1,8 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark file regenerates one experiment of DESIGN.md §3 (one table or
-figure).  The quantity the paper talks about is the number of *asynchronous
-rounds*, not wall-clock time, so every benchmark
+Each benchmark file regenerates one experiment of EXPERIMENTS.md, "The
+artefacts" (one table or figure; its "Fidelity: simulated vs charged round
+counts" section says which round counts are simulated).  The quantity the
+paper talks about is the number of *asynchronous rounds*, not wall-clock
+time, so every benchmark
 
 * runs the experiment exactly once through ``benchmark.pedantic`` (wall-clock
   time is still recorded for the pytest-benchmark report),

@@ -52,7 +52,6 @@ the engine — the event engine merely skips the parked suffix of the work.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -71,7 +70,6 @@ __all__ = [
     "Scheduler",
     "SequentialScheduler",
     "EventDrivenScheduler",
-    "canonical_run_kwargs",
     "make_scheduler",
     "run_algorithm",
 ]
@@ -982,43 +980,15 @@ ENGINES: Dict[str, type] = {
 }
 
 
-def canonical_run_kwargs(order: "str | OrderPolicy", seed: int,
-                         scheduler_order: "Optional[str | OrderPolicy]" = None,
-                         rng: Optional[int] = None,
-                         stacklevel: int = 3):
-    """Resolve the canonical ``(order, seed)`` pair from current and
-    deprecated keyword spellings.
-
-    The keyword surface drifted while the harness grew — ``scheduler.py``
-    said ``order=``/``seed=``, the pipeline drivers said
-    ``scheduler_order=`` and some call sites said ``rng=`` for the seed.
-    ``order=`` and ``seed=`` are now canonical everywhere; the old
-    spellings keep working through this shim but raise a
-    :class:`DeprecationWarning` naming the replacement.
-    """
-    if scheduler_order is not None:
-        warnings.warn("scheduler_order= is deprecated; use order=",
-                      DeprecationWarning, stacklevel=stacklevel)
-        order = scheduler_order
-    if rng is not None:
-        warnings.warn("rng= is deprecated; use seed=",
-                      DeprecationWarning, stacklevel=stacklevel)
-        seed = rng
-    return order, seed
-
-
 def make_scheduler(engine: str = "sweep", order: str | OrderPolicy = "random",
                    seed: int = 0,
-                   faults: "str | FaultSpec | None" = None, *,
-                   scheduler_order: "Optional[str | OrderPolicy]" = None,
-                   rng: Optional[int] = None) -> SequentialScheduler:
+                   faults: "str | FaultSpec | None" = None
+                   ) -> SequentialScheduler:
     """Build the scheduler for ``engine`` (``"sweep"`` or ``"event"``).
 
     ``faults`` is a :class:`~repro.amoebot.faults.FaultSpec` or its spec
-    string (None/"" = no fault injection).  ``scheduler_order=`` and
-    ``rng=`` are deprecated aliases of ``order=`` and ``seed=``.
+    string (None/"" = no fault injection).
     """
-    order, seed = canonical_run_kwargs(order, seed, scheduler_order, rng)
     try:
         cls = ENGINES[engine]
     except KeyError:
@@ -1032,14 +1002,7 @@ def run_algorithm(algorithm: AmoebotAlgorithm, system: ParticleSystem,
                   order: str | OrderPolicy = "random", seed: int = 0,
                   max_rounds: int = 1_000_000,
                   engine: str = "sweep",
-                  faults: "str | FaultSpec | None" = None, *,
-                  scheduler_order: "Optional[str | OrderPolicy]" = None,
-                  rng: Optional[int] = None) -> SchedulerResult:
-    """Convenience wrapper: build a scheduler and run the algorithm.
-
-    ``scheduler_order=`` and ``rng=`` are deprecated aliases of ``order=``
-    and ``seed=``.
-    """
-    order, seed = canonical_run_kwargs(order, seed, scheduler_order, rng)
+                  faults: "str | FaultSpec | None" = None) -> SchedulerResult:
+    """Convenience wrapper: build a scheduler and run the algorithm."""
     return make_scheduler(engine, order=order, seed=seed, faults=faults).run(
         algorithm, system, max_rounds=max_rounds)

@@ -9,13 +9,14 @@ refinement by Daymude et al. [10, 11] achieves ``O(L_out + D)`` w.h.p.  The
 paper's contribution is matching these bounds *deterministically*.
 
 This module reproduces the baseline at the same fidelity level as the OBD
-primitive (see DESIGN.md §4): the virtual rings, candidate sets, coin flips
-and eliminations are simulated explicitly (seeded and reproducible), and the
-round cost of each phase is charged from the structure of the computation —
-a phase in which the surviving candidates are separated by gaps of at most
-``g`` v-nodes costs ``O(g)`` rounds of concurrent token traffic, the final
-confirmation lap costs one traversal of the ring, and the announcement is a
-flood over the particle graph (``O(D)`` rounds).
+primitive (see EXPERIMENTS.md, "Fidelity: simulated vs charged round
+counts"): the virtual rings, candidate sets, coin flips and eliminations are
+simulated explicitly (seeded and reproducible), and the round cost of each
+phase is charged from the structure of the computation — a phase in which
+the surviving candidates are separated by gaps of at most ``g`` v-nodes
+costs ``O(g)`` rounds of concurrent token traffic, the final confirmation
+lap costs one traversal of the ring, and the announcement is a flood over
+the particle graph (``O(D)`` rounds).
 
 The measured quantity (expected rounds as a function of ``L_out + D``) is
 what Table 1 compares against.

@@ -768,7 +768,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
 
     def progress(task_id: str, result) -> None:
-        if result.get("retrying") or result.get("status") == "retry":
+        if result.get("status") == "retry":
             status = f"retrying (attempt {result.get('attempt')})"
         elif "record" in result:
             status = "ok"

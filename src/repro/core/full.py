@@ -29,11 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..amoebot.scheduler import (
-    SchedulerResult,
-    canonical_run_kwargs,
-    make_scheduler,
-)
+from ..amoebot.scheduler import SchedulerResult, make_scheduler
 from ..amoebot.system import ParticleSystem
 from ..grid.shape import Shape
 from ..state import CheckpointContext, run_checkpointed_stage
@@ -101,8 +97,6 @@ def elect_leader_known_boundary(system: ParticleSystem,
                                 max_rounds: int = 1_000_000,
                                 engine: str = "sweep",
                                 checkpoint: Optional[CheckpointContext] = None,
-                                *,
-                                scheduler_order: Optional[str] = None,
                                 ) -> ElectionOutcome:
     """Leader election under the known-outer-boundary assumption.
 
@@ -110,9 +104,7 @@ def elect_leader_known_boundary(system: ParticleSystem,
     ``reconnect`` is true, Algorithm Collect to restore connectivity.
     ``engine`` selects the activation engine for the DLE stage (``"sweep"``
     or ``"event"``; both produce identical traces and round counts).
-    ``scheduler_order=`` is a deprecated alias of ``order=``.
     """
-    order, seed = canonical_run_kwargs(order, seed, scheduler_order)
     _, dle_result = _run_dle(system, outer_from_memory=False,
                              order=order, seed=seed,
                              max_rounds=max_rounds, engine=engine,
@@ -141,18 +133,15 @@ def elect_leader(system: ParticleSystem,
                  seed: int = 0,
                  max_rounds: int = 1_000_000,
                  engine: str = "sweep",
-                 checkpoint: Optional[CheckpointContext] = None,
-                 *,
-                 scheduler_order: Optional[str] = None) -> ElectionOutcome:
+                 checkpoint: Optional[CheckpointContext] = None
+                 ) -> ElectionOutcome:
     """Leader election without the known-boundary assumption.
 
     Runs primitive OBD first (``O(L_out + D)`` rounds), feeds the detected
     boundary information to Algorithm DLE, and optionally reconnects with
     Algorithm Collect.  ``engine`` selects the activation engine for the
-    scheduler-driven DLE stage.  ``scheduler_order=`` is a deprecated alias
-    of ``order=``.
+    scheduler-driven DLE stage.
     """
-    order, seed = canonical_run_kwargs(order, seed, scheduler_order)
     obd_result: Optional[OBDResult] = None
     obd_summary = (checkpoint.completed_stage("obd")
                    if checkpoint is not None else None)

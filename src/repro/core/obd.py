@@ -11,21 +11,22 @@ The outer boundary then announces termination by flooding the particle
 graph, which takes at most ``D`` additional rounds, for ``O(L_out + D)``
 rounds overall (Theorem 41).
 
-Fidelity note (see DESIGN.md §4).  The v-node rings, boundary counts,
-segment labels, the (size, label) comparison order, the stable-boundary
-criterion of Theorem 36 and the final flooding are implemented exactly.  The
-pipelined token trains of the lexicographic-comparison primitive (LCP) are
-*not* reproduced message-by-message; instead the competition is simulated in
-synchronous generations (all surviving segments compare with their
-successors concurrently), which determines the final stable segments and
-the outer/inner decision.  Because that synchronous schedule serialises
-merges the paper's asynchronous pipelining performs concurrently, the
-*round charge* of the competition is not taken from the generation count;
-it uses the paper's own stabilisation bound (Lemma 35: a boundary of length
-``L`` becomes stable within ``(2 k_c + 5) L`` rounds with ``k_c = 10``) plus
-the stable-boundary check of Section 5.4.  The reported round count
-therefore keeps the ``O(L_out + D)`` shape of Theorem 41 with explicit,
-documented constants.
+Fidelity note (see EXPERIMENTS.md, "Fidelity: simulated vs charged round
+counts").  The v-node rings, boundary counts, segment labels, the (size,
+label) comparison order, the stable-boundary criterion of Theorem 36 and the
+final flooding are implemented exactly.  The pipelined token trains of the
+lexicographic-comparison primitive (LCP) are *not* reproduced
+message-by-message; instead the competition is simulated in synchronous
+generations (all surviving segments compare with their successors
+concurrently), which determines the final stable segments and the
+outer/inner decision.  Because that synchronous schedule serialises merges
+the paper's asynchronous pipelining performs concurrently, the *round
+charge* of the competition is not taken from the generation count; it uses
+the paper's own stabilisation bound (Lemma 35: a boundary of length ``L``
+becomes stable within ``(2 k_c + 5) L`` rounds with ``k_c = 10``) plus the
+stable-boundary check of Section 5.4.  The reported round count therefore
+keeps the ``O(L_out + D)`` shape of Theorem 41 with explicit, documented
+constants.
 """
 
 from __future__ import annotations

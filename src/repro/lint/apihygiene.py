@@ -11,12 +11,6 @@
     import ``repro`` **only** through ``repro.api``.  Importing an
     internal module from there couples published material to package
     layout the compatibility promise explicitly does not cover.
-
-``A503`` *deprecated-kwarg*
-    The keyword surfaces were unified on ``order=`` / ``seed=`` in PR 7;
-    ``scheduler_order=`` and ``rng=`` survive only as DeprecationWarning
-    shims for third-party callers.  First-party code must not use them
-    (the shims are exercised by dedicated tests, where this rule is off).
 """
 
 from __future__ import annotations
@@ -29,22 +23,7 @@ from .base import Finding, ModuleContext, Rule, register_rule
 __all__ = [
     "DanglingAllExportRule",
     "FacadeOnlyImportRule",
-    "DeprecatedKwargRule",
 ]
-
-_DEPRECATED_KWARGS = frozenset({"scheduler_order", "rng"})
-
-#: Call targets whose ``rng=`` kwarg is the deprecated seed alias.  (Other
-#: functions may legitimately take a live ``rng=`` generator argument —
-#: e.g. ``decode_rng(data, rng=...)`` — so ``rng=`` is only flagged on the
-#: run-entry surfaces the PR 7 shim actually covers.)
-_RNG_SHIM_TARGETS = frozenset({
-    "run_algorithm", "make_scheduler", "run_experiment", "elect_leader",
-    "elect_leader_known_boundary", "run_erosion_election",
-    "run_randomized_election", "run_scaling_experiment",
-    "run_table1_experiment", "Scheduler", "SequentialScheduler",
-    "EventDrivenScheduler",
-})
 
 
 def _top_level_bindings(tree: ast.Module) -> Set[str]:
@@ -151,33 +130,3 @@ class FacadeOnlyImportRule(Rule):
                             module, node,
                             f"import of internal module '{alias.name}'; "
                             f"use 'from repro.api import ...'")
-
-
-@register_rule
-class DeprecatedKwargRule(Rule):
-    code = "A503"
-    name = "deprecated-kwarg"
-    description = ("first-party code must not pass the deprecated "
-                   "scheduler_order=/rng= kwargs (unified on "
-                   "order=/seed= in PR 7)")
-    roles = ("src", "examples", "benchmarks")
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        from .base import call_name
-
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = call_name(node)
-            tail = target.split(".")[-1] if target else ""
-            for keyword in node.keywords:
-                if keyword.arg == "rng" and tail not in _RNG_SHIM_TARGETS:
-                    continue
-                if keyword.arg in _DEPRECATED_KWARGS:
-                    replacement = ("order=" if keyword.arg
-                                   == "scheduler_order" else "seed=")
-                    yield self.finding(
-                        module, node,
-                        f"deprecated keyword '{keyword.arg}='; use "
-                        f"{replacement} (the shim warns and will be "
-                        f"removed)")

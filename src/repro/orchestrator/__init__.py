@@ -15,6 +15,8 @@ Everything that turns a declarative experiment grid into records:
 * :mod:`~repro.orchestrator.net` — the TCP coordinator/worker layer behind
   ``--transport tcp``, ``python -m repro serve`` and
   ``python -m repro worker --connect``,
+* :mod:`~repro.orchestrator.lease` / :mod:`~repro.orchestrator.remote` —
+  the lease policy, worker loop and sweep-side wait loop those two share,
 * :mod:`~repro.orchestrator.store` — the append-only JSONL
   :class:`RunLedger` that makes interrupted sweeps resumable (and safe for
   concurrent writers on a shared filesystem),

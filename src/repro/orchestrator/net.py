@@ -2,28 +2,19 @@
 
 The :mod:`~repro.orchestrator.queue` transport needs a shared filesystem;
 this module needs only a network.  A **coordinator** process
-(``python -m repro serve``) owns the task set in memory — pending tasks,
-leases with heartbeat deadlines, stale-lease reclamation and per-task retry
-budgets, the exact semantics of :class:`~repro.orchestrator.queue.
-FileTaskQueue` — and speaks a JSON-lines protocol over TCP to two kinds of
-clients:
+(``python -m repro serve``) owns the task set in memory
+(:class:`TaskBoard`, with the queue's lease policy from
+:mod:`~repro.orchestrator.lease`) and speaks a JSON-lines protocol over
+TCP to two kinds of clients, both reconnecting with exponential backoff:
 
-* **workers** (``python -m repro worker --connect HOST:PORT``) claim tasks,
-  heartbeat their leases while the simulation runs, stream back the
-  :func:`~repro.orchestrator.transport.execute_payload` outcome, and
-  reconnect with exponential backoff after coordinator or link failures;
+* **workers** (``python -m repro worker --connect HOST:PORT``) run the
+  shared :func:`~repro.orchestrator.remote.serve` loop against it;
 * **submitters** (:class:`TcpTransport`, behind ``repro sweep --transport
   tcp --coordinator HOST:PORT``) enqueue the sweep's pending configs and
-  poll for their results.  The transport survives a coordinator restart:
-  on reconnect it re-submits every still-pending task (submission is
-  idempotent — a result the restarted coordinator already holds is served
-  immediately, anything lost is simply re-run).
+  poll for their results, re-submitting them after a coordinator restart
+  (submission is idempotent).
 
-Because task payloads and result payloads use the **same dialect as the
-filesystem queue** (``kind``/``id``/``digest``/``config``/``attempt``/
-``record``-or-``error``), :func:`~repro.orchestrator.pool.run_sweep` treats
-both distributed backends identically: results are re-ordered into spec
-order, cache and ledger writes are unchanged, and a TCP sweep's ledger is
+Task and result payloads are the queue's, so a TCP sweep's ledger is
 byte-comparable with a ``--jobs 1`` run of the same spec.
 
 Wire protocol (one JSON object per line, UTF-8):
@@ -49,28 +40,20 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..telemetry import summarize_ages
-from .queue import (
+from .lease import (
     DEFAULT_LEASE_TTL,
     DEFAULT_POLL,
     DEFAULT_TASK_ATTEMPTS,
-    RESULT_KIND,
-    TASK_KIND,
-    WorkerSummary,
-    _budget,
+    board_status,
+    charge_failure,
+    is_final,
+    new_task,
+    next_attempt,
+    result_payload,
 )
-from .transport import TransportItem, execute_payload
+from .remote import Progress, RemoteTransport, SweepLink, WorkerSummary, serve
 
 __all__ = [
     "DEFAULT_PORT",
@@ -96,10 +79,9 @@ _BATCH = 256
 _BACKOFF_FIRST = 0.2
 _BACKOFF_MAX = 5.0
 
-#: Seconds an uncollected result stays on the board before it is pruned —
-#: the in-memory analog of ``repro queue-gc --ttl``.  Must be comfortably
-#: larger than any sweep's duration: a submitter whose result is pruned
-#: under it simply re-enqueues the task (wasteful, never incorrect).
+#: Seconds an uncollected result stays on the board (the in-memory analog
+#: of ``repro queue-gc --ttl``); a submitter whose result was pruned simply
+#: re-enqueues the task.
 DEFAULT_RESULT_TTL = 24 * 3600.0
 
 SERVER_NAME = "repro-coordinator"
@@ -107,11 +89,7 @@ SERVER_NAME = "repro-coordinator"
 
 class HandshakeError(ConnectionError):
     """The coordinator rejected the handshake (bad secret, bad protocol).
-
-    Deliberately **not** retried by workers or transports: reconnecting
-    with the same credentials can never succeed, so surfacing the
-    rejection immediately beats a silent backoff loop.
-    """
+    Never retried: the same credentials can never succeed."""
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -139,16 +117,9 @@ def _auth_token(secret: str, nonce: str) -> str:
 # ---------------------------------------------------------------------------
 
 class TaskBoard:
-    """In-memory task set with the filesystem queue's lease/retry semantics.
-
-    Thread-safe: every protocol handler thread goes through one lock.  The
-    state machine per task id mirrors the queue directory layout — a task
-    is *pending* (claimable), *leased* (owned by a worker, with a heartbeat
-    deadline), or *done* (a result payload exists).  Reclamation, budget
-    accounting and the "a failure never overwrites a successful result"
-    rule are copied from :class:`~repro.orchestrator.queue.FileTaskQueue`
-    so the two distributed backends stay behaviorally interchangeable.
-    """
+    """In-memory task set: the queue directory's pending/leased/done states
+    behind one lock (every protocol handler thread goes through it), with
+    every decision made by :mod:`~repro.orchestrator.lease`."""
 
     def __init__(self, lease_ttl: float = DEFAULT_LEASE_TTL,
                  result_ttl: float = DEFAULT_RESULT_TTL) -> None:
@@ -185,34 +156,19 @@ class TaskBoard:
     def enqueue(self, task_id: str, config_dict: Dict[str, Any], digest: str,
                 max_attempts: Optional[int] = DEFAULT_TASK_ATTEMPTS,
                 options: Optional[Dict[str, Any]] = None) -> str:
-        """Make ``task_id`` runnable; same contract as the queue's enqueue:
-        ``"result-exists"`` / ``"pending"`` / ``"enqueued"``.  A lingering
-        failed result is discarded and retried from a zeroed attempt count.
-        ``options`` (``checkpoint_every``/``checkpoint_dir``) travels in
-        the task so every worker — including one resuming a reclaimed
-        task — runs it the same way.
-        """
+        """Make ``task_id`` runnable; same contract as
+        :meth:`~repro.orchestrator.queue.FileTaskQueue.enqueue`."""
         with self._lock:
             result = self._results.get(task_id)
-            if result is not None and "record" in result:
+            if is_final(result):
                 return "result-exists"
             if result is not None:
                 del self._results[task_id]
                 self._result_times.pop(task_id, None)
             if task_id in self._tasks:
                 return "pending"
-            task = {
-                "kind": TASK_KIND,
-                "id": task_id,
-                "digest": digest,
-                "config": config_dict,
-                "attempt": 0,
-                "max_attempts": _budget(max_attempts),
-                "enqueued_at": time.time(),
-            }
-            if options:
-                task["options"] = dict(options)
-            self._tasks[task_id] = task
+            self._tasks[task_id] = new_task(task_id, config_dict, digest,
+                                            max_attempts, options)
             self._pending.add(task_id)
         self.note("enqueued")
         return "enqueued"
@@ -262,66 +218,40 @@ class TaskBoard:
 
     def complete(self, worker_id: str, task_id: str,
                  outcome: Dict[str, Any]) -> str:
-        """Consume a worker's ``execute_payload`` outcome.
-
-        Returns the fate of the task: ``"done"`` (result published — a
-        record, or an error that exhausted the retry budget), ``"retry"``
-        (failure re-enqueued with the attempt counter bumped) or
-        ``"ignored"`` (stale: the lease was reclaimed and someone else owns
-        the task now, or a successful result already exists).
-        """
+        """Consume a worker's ``execute_payload`` outcome; returns the
+        task's fate: ``"done"`` (published — a record, or a failure that
+        spent the budget), ``"retry"`` or ``"ignored"`` (a success exists,
+        or the failing worker no longer owns the lease)."""
         with self._lock:
-            existing = self._results.get(task_id)
-            if existing is not None and "record" in existing:
+            if is_final(self._results.get(task_id)):
                 return "ignored"
-            task = self._tasks.get(task_id)
-            lease = self._leases.get(task_id)
-            owns = lease is not None and lease[0] == worker_id
-            if task is None:
-                # Unknown task (board restarted): accept a success so the
-                # work is not wasted, drop anything else.
-                if "record" in outcome:
-                    self._publish(task_id, self._result_payload(
-                        task_id, {}, worker_id, 1, outcome))
-                    self.note("completed")
-                    return "done"
-                return "ignored"
+            # An unknown task (the board restarted) still takes a success,
+            # so the work is not wasted.
+            task = self._tasks.get(task_id, {})
             if "record" in outcome:
-                attempt = int(task.get("attempt", 0)) + 1
-                self._publish(task_id, self._result_payload(
-                    task_id, task, worker_id, attempt, outcome))
-                self._drop_task(task_id)
-                self.note("completed")
+                self._finish(task_id, result_payload(
+                    task_id, task, outcome, next_attempt(task), worker_id))
                 return "done"
-            if not owns:
+            lease = self._leases.get(task_id)
+            if lease is None or lease[0] != worker_id:
                 # A reclaimed lease already consumed this attempt; a late
-                # failure from the presumed-dead worker must not burn more
-                # budget (mirrors the queue's duplicate-run rule).
+                # failure from the presumed-dead worker burns no budget.
                 return "ignored"
-            attempt = int(task.get("attempt", 0)) + 1
-            task["attempt"] = attempt
-            budget = _budget(task.get("max_attempts"))
-            if budget is not None and attempt >= budget:
-                self._publish(task_id, self._result_payload(
-                    task_id, task, worker_id, attempt, outcome))
-                self._drop_task(task_id)
-                self.note("completed")
-                self.note("exhausted")
-                return "done"
             del self._leases[task_id]
-            self._pending.add(task_id)
-            self.note("retries")
-            return "retry"
+            terminal = charge_failure(task, outcome, worker_id)
+            if terminal is None:
+                self._pending.add(task_id)
+                self.note("retries")
+                return "retry"
+            self._finish(task_id, terminal)
+            self.note("exhausted")
+            return "done"
 
     # -- shared: stale-lease recovery ---------------------------------------
 
     def reclaim_stale(self, now: Optional[float] = None) -> List[str]:
-        """Recover leases whose heartbeat deadline passed.
-
-        Each reclaim consumes one attempt; a task out of attempts becomes
-        a terminal failed result, otherwise it returns to the pending set
-        for any live worker to claim.
-        """
+        """Recover leases whose heartbeat deadline passed; each reclaim
+        consumes one attempt."""
         now = time.monotonic() if now is None else now
         reclaimed: List[str] = []
         with self._lock:
@@ -329,25 +259,13 @@ class TaskBoard:
                     list(self._leases.items()):
                 if deadline > now:
                     continue
-                task = self._tasks[task_id]
-                attempt = int(task.get("attempt", 0)) + 1
-                task["attempt"] = attempt
-                budget = _budget(task.get("max_attempts"))
                 del self._leases[task_id]
-                if budget is not None and attempt >= budget:
-                    self._publish(task_id, {
-                        "kind": RESULT_KIND,
-                        "id": task_id,
-                        "digest": task.get("digest", ""),
-                        "config": task.get("config", {}),
-                        "error": (f"worker lease expired and the task is out "
-                                  f"of attempts ({attempt}/{budget})"),
-                        "attempt": attempt,
-                    }, now=now)
-                    self._tasks.pop(task_id, None)
-                    self.note("exhausted")
-                else:
+                terminal = charge_failure(self._tasks[task_id])
+                if terminal is None:
                     self._pending.add(task_id)
+                else:
+                    self._finish(task_id, terminal, now=now)
+                    self.note("exhausted")
                 reclaimed.append(task_id)
                 self.note("reclaims")
             # Bounded memory for long-lived coordinators: results nobody
@@ -363,71 +281,35 @@ class TaskBoard:
 
     def stats(self, now: Optional[float] = None,
               window: float = 60.0) -> Dict[str, Any]:
-        """Board depth plus lease ages, lifetime counters and throughput.
-
-        The historical ``pending`` / ``leased`` / ``done`` tallies stay
-        top-level (callers index them directly); everything added for
-        ``repro status`` nests beside them.  ``now`` is on the monotonic
-        clock and injectable for tests.
-        """
+        """The :func:`~repro.orchestrator.lease.board_status` document plus
+        lifetime ``counters``; ``now`` is on the monotonic clock."""
         now = time.monotonic() if now is None else now
         with self._lock:
             leases = [{"id": task_id, "worker": worker,
                        "age": round(max(0.0, now - leased_at), 3)}
                       for task_id, (worker, _deadline, leased_at)
                       in sorted(self._leases.items())]
-            completed_in_window = sum(1 for stamp in self._completions
-                                      if now - stamp <= window)
-            depth = {
-                "pending": len(self._pending),
-                "leased": len(self._leases),
-                "done": len(self._results),
-            }
+            completed = sum(1 for stamp in self._completions
+                            if now - stamp <= window)
+            status = board_status(len(self._pending), leases,
+                                  len(self._results), completed, window)
         with self._counter_lock:
-            counters = dict(self._counters)
-        depth["counters"] = counters
-        depth["lease_ages"] = summarize_ages([l["age"] for l in leases])
-        depth["leases"] = leases
-        depth["throughput"] = {
-            "window": window,
-            "completed": completed_in_window,
-            "per_second": round(completed_in_window / window, 4)
-                          if window > 0 else 0.0,
-        }
-        return depth
+            status["counters"] = dict(self._counters)
+        return status
 
     # -- internals (call with the lock held) --------------------------------
 
-    def _publish(self, task_id: str, payload: Dict[str, Any],
-                 now: Optional[float] = None) -> None:
+    def _finish(self, task_id: str, payload: Dict[str, Any],
+                now: Optional[float] = None) -> None:
+        """Publish ``payload`` as the task's result and retire the task."""
         now = time.monotonic() if now is None else now
         self._results[task_id] = payload
         self._result_times[task_id] = now
         self._completions.append(now)
-
-    def _drop_task(self, task_id: str) -> None:
         self._tasks.pop(task_id, None)
         self._pending.discard(task_id)
         self._leases.pop(task_id, None)
-
-    @staticmethod
-    def _result_payload(task_id: str, task: Dict[str, Any], worker_id: str,
-                        attempt: int, outcome: Dict[str, Any]
-                        ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "kind": RESULT_KIND,
-            "id": task_id,
-            "digest": task.get("digest", ""),
-            "config": task.get("config", outcome.get("config", {})),
-            "elapsed": outcome.get("elapsed", 0.0),
-            "worker": worker_id,
-            "attempt": attempt,
-        }
-        if "record" in outcome:
-            payload["record"] = outcome["record"]
-        else:
-            payload["error"] = outcome.get("error", "unknown error")
-        return payload
+        self.note("completed")
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +405,13 @@ class _Handler(socketserver.StreamRequestHandler):
             }}
         if op == "submit":
             board.reclaim_stale()
-            statuses = {}
-            for task in request.get("tasks", []):
-                task_id = str(task["id"])
-                statuses[task_id] = board.enqueue(
-                    task_id, task.get("config", {}),
+            return {"ok": True, "statuses": {
+                str(task["id"]): board.enqueue(
+                    str(task["id"]), task.get("config", {}),
                     str(task.get("digest", "")),
-                    max_attempts=task.get("max_attempts",
-                                          DEFAULT_TASK_ATTEMPTS),
-                    options=task.get("options"))
-            return {"ok": True, "statuses": statuses}
+                    task.get("max_attempts", DEFAULT_TASK_ATTEMPTS),
+                    task.get("options"))
+                for task in request.get("tasks", [])}}
         if op == "collect":
             board.reclaim_stale()
             results = board.collect([str(i) for i in request.get("ids", [])])
@@ -614,13 +493,10 @@ class _TcpServer(socketserver.ThreadingTCPServer):
 
 
 class CoordinatorServer:
-    """The coordinator behind ``python -m repro serve``.
-
-    Owns a :class:`TaskBoard` and serves it over TCP from a background
-    thread; ``start()`` binds (``port=0`` picks a free port — read the
-    actual one back from :attr:`address`), ``stop()`` shuts down.  Usable
-    as a context manager, which is how the tests drive restart scenarios.
-    """
+    """The coordinator behind ``python -m repro serve``: a :class:`TaskBoard`
+    served from a background thread.  ``start()`` binds (``port=0`` picks a
+    free port; see :attr:`address`), ``stop()`` shuts down; also a context
+    manager."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  secret: Optional[str] = None,
@@ -689,11 +565,8 @@ def run_server(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                lease_ttl: float = DEFAULT_LEASE_TTL,
                result_ttl: float = DEFAULT_RESULT_TTL,
                ready: Optional[Callable[[str], None]] = None) -> int:
-    """Blocking entry point for ``python -m repro serve``.
-
-    Serves until interrupted (Ctrl-C / SIGTERM); ``ready`` is called once
-    with the bound ``host:port`` endpoint.
-    """
+    """Blocking entry point for ``python -m repro serve``: serves until
+    interrupted; ``ready`` gets the bound ``host:port`` endpoint once."""
     server = CoordinatorServer(host=host, port=port, secret=secret,
                                lease_ttl=lease_ttl, result_ttl=result_ttl)
     server.start()
@@ -715,10 +588,9 @@ def run_server(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
 class CoordinatorClient:
     """One authenticated JSON-lines connection to a coordinator.
 
-    ``request()`` is serialised by a lock, so a heartbeat thread can share
-    the connection with the main loop — requests never interleave on the
-    wire.  Connection-level failures surface as ``OSError`` for callers to
-    retry; a rejected handshake raises :class:`HandshakeError` (terminal).
+    ``request()`` holds a lock, so a heartbeat thread can share the
+    connection with the main loop.  Link failures raise ``OSError`` (for
+    callers to retry); a rejected handshake raises :class:`HandshakeError`.
     """
 
     def __init__(self, address: Any, secret: Optional[str] = None,
@@ -731,9 +603,31 @@ class CoordinatorClient:
         self.worker_id = worker_id
         self.timeout = float(timeout)
         self.lease_ttl = DEFAULT_LEASE_TTL
+        #: Successful connections so far (the first one included).
+        self.connects = 0
+        self._backoff = _BACKOFF_FIRST
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._file: Any = None
+
+    @property
+    def connected(self) -> bool:
+        return self._file is not None
+
+    def redial(self) -> bool:
+        """One (re)connection attempt: after a link failure, sleep an
+        exponential backoff and return ``False``.  A rejected handshake is
+        raised, never retried."""
+        try:
+            self.connect()
+        except HandshakeError:
+            raise
+        except OSError:
+            time.sleep(self._backoff)
+            self._backoff = min(self._backoff * 2, _BACKOFF_MAX)
+            return False
+        self._backoff = _BACKOFF_FIRST
+        return True
 
     def connect(self) -> "CoordinatorClient":
         sock = socket.create_connection(self.address, timeout=self.timeout)
@@ -765,6 +659,7 @@ class CoordinatorClient:
             sock.close()
             raise
         self._sock, self._file = sock, handle
+        self.connects += 1
         return self
 
     def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -804,12 +699,8 @@ class CoordinatorClient:
 
 def fetch_status(address: Any, secret: Optional[str] = None,
                  timeout: float = 10.0) -> Dict[str, Any]:
-    """One-shot ``status`` query against a live coordinator.
-
-    Returns the coordinator's status document (board depth, lease ages,
-    counters, throughput, connected workers); raises ``OSError`` /
-    :class:`HandshakeError` like any other client operation.
-    """
+    """One-shot ``status`` query against a live coordinator; raises
+    ``OSError`` / :class:`HandshakeError` like any other client call."""
     client = CoordinatorClient(address, secret=secret, role="status",
                                timeout=timeout)
     client.connect()
@@ -823,317 +714,179 @@ def fetch_status(address: Any, secret: Optional[str] = None,
 # The network worker — ``python -m repro worker --connect HOST:PORT``
 # ---------------------------------------------------------------------------
 
+class _CoordinatorSource:
+    """Tasks from a coordinator: the next claim after a link failure
+    reconnects, and first re-sends an outcome the failure left
+    undelivered."""
+
+    def __init__(self, address: Any, secret: Optional[str],
+                 worker_id: str) -> None:
+        self.client = CoordinatorClient(address, secret=secret, role="worker",
+                                        worker_id=worker_id)
+        self.worker_id = worker_id
+        self.lease_ttl = DEFAULT_LEASE_TTL
+        self.summary = WorkerSummary(worker_id)
+        self._stop = False
+        #: (task_id, outcome) that could not be delivered before a drop.
+        self._unsent: Optional[Tuple[str, Dict[str, Any]]] = None
+
+    def stopped(self) -> bool:
+        return self._stop
+
+    def undelivered(self) -> bool:
+        return self._unsent is not None
+
+    def claim(self) -> Optional[Dict[str, Any]]:
+        if not self.client.connected:
+            if not self.client.redial():
+                return None
+            self.summary.reconnects = self.client.connects - 1
+            self.lease_ttl = self.client.lease_ttl
+        try:
+            if self._unsent is not None:
+                self.client.request({"op": "result", "id": self._unsent[0],
+                                     "outcome": self._unsent[1]})
+                self._unsent = None
+                self.summary.replayed += 1
+                return None
+            response = self.client.request({"op": "claim"})
+        except OSError:
+            self.client.close()
+            return None
+        # The TCP analog of the queue directory's STOP file.
+        self._stop = bool(response.get("stop"))
+        task: Optional[Dict[str, Any]] = response.get("task")
+        return task
+
+    def heartbeat(self, task_id: str) -> bool:
+        try:
+            self.client.request({"op": "heartbeat", "id": task_id})
+        except (OSError, RuntimeError):
+            return False
+        return True
+
+    def report(self, task: Dict[str, Any], outcome: Dict[str, Any]) -> str:
+        try:
+            return str(self.client.request(
+                {"op": "result", "id": task["id"], "outcome": outcome}
+            ).get("status", "done"))
+        except OSError:
+            self.client.close()
+            self._unsent = (str(task["id"]), outcome)
+            return "undelivered"
+
+    def close(self) -> None:
+        self.client.close()
+
+
 def run_tcp_worker(address: Any,
                    secret: Optional[str] = None,
                    worker_id: Optional[str] = None,
                    poll: float = DEFAULT_POLL,
                    max_idle: Optional[float] = None,
                    max_tasks: Optional[int] = None,
-                   progress: Optional[Callable[[str, Dict[str, Any]], None]]
-                   = None,
+                   progress: Optional[Progress] = None,
                    checkpoint_dir: Optional[str] = None,
                    checkpoint_every: Optional[int] = None) -> WorkerSummary:
-    """Pull-and-execute loop against a TCP coordinator; returns a
-    :class:`~repro.orchestrator.queue.WorkerSummary` (which compares equal
-    to the number of tasks processed).
+    """Serve a TCP coordinator with :func:`~repro.orchestrator.remote.serve`;
+    returns its :class:`~repro.orchestrator.remote.WorkerSummary`.
 
-    The body mirrors :func:`~repro.orchestrator.queue.run_worker`: claim,
-    execute through the shared :func:`execute_payload`, heartbeat from a
-    background thread while the simulation runs, publish the outcome.  Two
-    differences are inherent to the transport: retry/budget decisions live
-    on the coordinator (it owns the task set), and any link failure —
-    coordinator restart included — is answered by reconnecting with
-    exponential backoff, re-sending an unpublished result first.  A
-    rejected handshake (:class:`HandshakeError`) is terminal, never
-    retried.
-
-    ``checkpoint_dir`` / ``checkpoint_every`` override the task-carried
-    checkpoint options — TCP workers share nothing with the coordinator,
-    so the directory a sweep names is usually only meaningful when the
-    worker fleet re-points it at storage the *workers* share.
-
-    Exit conditions: a stop broadcast from the coordinator
-    (:meth:`CoordinatorServer.stop_workers`), ``max_idle`` seconds without
-    work (time spent disconnected counts as idle) or ``max_tasks``
-    processed.
+    Link failures reconnect (time spent disconnected counts as idle); a
+    stop broadcast (:meth:`CoordinatorServer.stop_workers`) ends the loop
+    and a rejected handshake (:class:`HandshakeError`) is raised.
+    ``checkpoint_dir`` / ``checkpoint_every`` override the task's options:
+    a sweep's directory is only meaningful on storage the workers share.
     """
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    summary = WorkerSummary(worker_id)
-    idle_since = time.monotonic()
-    backoff = _BACKOFF_FIRST
-    connected_before = False
-    client: Optional[CoordinatorClient] = None
-    #: (task_id, outcome) that could not be delivered before a disconnect.
-    unsent: Optional[Tuple[str, Dict[str, Any]]] = None
-
-    def drop_connection() -> None:
-        nonlocal client
-        if client is not None:
-            client.close()
-            client = None
-
-    try:
-        while True:
-            if max_idle is not None and \
-                    time.monotonic() - idle_since >= max_idle:
-                break
-            if client is None:
-                try:
-                    client = CoordinatorClient(
-                        address, secret=secret, role="worker",
-                        worker_id=worker_id).connect()
-                    backoff = _BACKOFF_FIRST
-                    if connected_before:
-                        summary.reconnects += 1
-                    connected_before = True
-                except HandshakeError:
-                    raise
-                except OSError:
-                    time.sleep(backoff)
-                    backoff = min(backoff * 2, _BACKOFF_MAX)
-                    continue
-            try:
-                if unsent is not None:
-                    task_id, outcome = unsent
-                    client.request({"op": "result", "id": task_id,
-                                    "outcome": outcome})
-                    unsent = None
-                    summary.replayed += 1
-                    if max_tasks is not None \
-                            and summary.processed >= max_tasks:
-                        break
-                    continue
-                response = client.request({"op": "claim"})
-            except OSError:
-                drop_connection()
-                continue
-            if response.get("stop"):
-                break
-            task = response.get("task")
-            if task is None:
-                time.sleep(poll)
-                continue
-            task_id = str(task["id"])
-
-            heartbeat_every = max(min(client.lease_ttl / 4.0, 5.0), 0.05)
-            stop_beat = threading.Event()
-            beat_client = client
-
-            def beat() -> None:
-                while not stop_beat.wait(heartbeat_every):
-                    try:
-                        beat_client.request({"op": "heartbeat",
-                                             "id": task_id})
-                        summary.heartbeats += 1
-                    except (OSError, RuntimeError):
-                        return  # main loop will notice on publish
-
-            task_options = dict(task.get("options") or {})
-            if checkpoint_dir is not None:
-                task_options["checkpoint_dir"] = str(checkpoint_dir)
-            if checkpoint_every is not None:
-                task_options["checkpoint_every"] = int(checkpoint_every)
-
-            beater = threading.Thread(target=beat, daemon=True)
-            beater.start()
-            try:
-                outcome = execute_payload(task.get("config", {}),
-                                          task_options or None)
-            finally:
-                stop_beat.set()
-                beater.join()
-
-            result: Dict[str, Any] = {
-                "id": task_id,
-                "digest": task.get("digest", ""),
-                "worker": worker_id,
-                "elapsed": outcome.get("elapsed", 0.0),
-                "attempt": int(task.get("attempt", 0)) + 1,
-            }
-            if "resumed_round" in outcome:
-                result["resumed_round"] = outcome["resumed_round"]
-            try:
-                reply = client.request({"op": "result", "id": task_id,
-                                        "outcome": outcome})
-                result["status"] = reply.get("status", "done")
-            except OSError:
-                unsent = (task_id, outcome)
-                drop_connection()
-                result["status"] = "undelivered"
-            if "record" in outcome:
-                result["record"] = outcome["record"]
-                summary.done += 1
-                summary.last_task_failed = False
-            else:
-                result["error"] = outcome.get("error", "unknown error")
-                if result["status"] == "retry":
-                    summary.retried += 1
-                    summary.last_task_failed = False
-                else:
-                    # Terminal: the coordinator published the failure (or
-                    # the link dropped with a failure outcome in hand).
-                    summary.failed += 1
-                    summary.last_task_failed = True
-            summary.processed += 1
-            # The idle clock restarts when a task *finishes*: a long task
-            # must never count toward --max-idle.
-            idle_since = time.monotonic()
-            if progress is not None:
-                progress(task_id, result)
-            # Honouring --max-tasks waits for an undelivered result: the
-            # reconnect loop above must get a chance to re-send it, or the
-            # completed work would be thrown away (``--max-idle`` still
-            # bounds how long that redelivery is attempted).
-            if max_tasks is not None and summary.processed >= max_tasks \
-                    and unsent is None:
-                break
-    finally:
-        drop_connection()
-    return summary
+    return serve(_CoordinatorSource(address, secret, worker_id), poll=poll,
+                 max_idle=max_idle, max_tasks=max_tasks, progress=progress,
+                 checkpoint_dir=checkpoint_dir,
+                 checkpoint_every=checkpoint_every)
 
 
-# ---------------------------------------------------------------------------
-# The coordinator-side transport
-# ---------------------------------------------------------------------------
+class _SubmitterLink:
+    """The sweep side: a link failure while collecting reconnects (within
+    the sweep's deadline) and re-submits every still-pending task —
+    submission is idempotent, so whatever a restarted board lost re-runs."""
 
-class TcpTransport:
+    def __init__(self, transport: "TcpTransport",
+                 deadline: Optional[float]) -> None:
+        self.client = CoordinatorClient(transport.coordinator,
+                                        secret=transport.secret)
+        self.timeout, self.deadline = transport.timeout, deadline
+        self.tasks: List[Dict[str, Any]] = []
+        try:
+            self.client.connect()
+        except HandshakeError:
+            raise
+        except OSError as exc:
+            host, port = self.client.address
+            raise ConnectionError(
+                f"cannot reach the coordinator at {host}:{port} ({exc}); "
+                f"start it with 'python -m repro serve --port {port}'"
+            ) from exc
+
+    def _request(self, op: str, key: str, values: Sequence[Any]
+                 ) -> List[Dict[str, Any]]:
+        responses = []
+        for start in range(0, len(values), _BATCH):
+            responses.append(self.client.request(
+                {"op": op, key: list(values[start:start + _BATCH])}))
+        return responses
+
+    def submit(self, tasks: Sequence[Dict[str, Any]]) -> None:
+        self.tasks = list(tasks)
+        self._request("submit", "tasks", self.tasks)
+
+    def collect(self, task_ids: Sequence[str]) -> List[Dict[str, Any]]:
+        try:
+            return [result for response in
+                    self._request("collect", "ids", task_ids)
+                    for result in response.get("results", [])]
+        except OSError:
+            self.client.close()
+        while not self.client.redial():
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                raise TimeoutError(
+                    f"tcp sweep timed out after {self.timeout}s while "
+                    f"reconnecting to the coordinator")
+        wanted = set(task_ids)
+        self._request("submit", "tasks",
+                      [task for task in self.tasks if task["id"] in wanted])
+        return []
+
+    def live_workers(self) -> List[str]:
+        try:
+            return list(self.client.request({"op": "workers"})
+                        .get("workers", []))
+        except (OSError, RuntimeError):
+            return []
+
+    def close(self) -> None:
+        self.client.close()
+
+
+class TcpTransport(RemoteTransport):
     """Execute pending configs through a TCP coordinator.
 
     Construct with the coordinator's ``HOST:PORT`` and pass to
     :func:`~repro.orchestrator.pool.run_sweep` (or use ``repro sweep
-    --transport tcp --coordinator HOST:PORT``).  ``workers_expected`` makes
-    the sweep wait until that many workers hold live connections before
-    enqueueing, so a sweep against an idle coordinator fails fast instead
-    of hanging; ``timeout`` bounds the whole wait for results.  A dropped
-    connection — a coordinator restart included — is retried with backoff,
-    and every still-pending task is re-submitted after the reconnect.
+    --transport tcp --coordinator HOST:PORT``); the other options are
+    :class:`~repro.orchestrator.remote.RemoteTransport`'s.  The sweep
+    survives a coordinator restart (see :class:`_SubmitterLink`).
     """
 
     name = "tcp"
 
-    def __init__(self, coordinator: Any,
-                 secret: Optional[str] = None,
-                 poll: float = DEFAULT_POLL,
-                 max_attempts: Optional[int] = DEFAULT_TASK_ATTEMPTS,
-                 workers_expected: int = 0,
-                 worker_timeout: float = 60.0,
-                 timeout: Optional[float] = None) -> None:
+    def __init__(self, coordinator: Any, secret: Optional[str] = None,
+                 **options: Any) -> None:
+        super().__init__(**options)
         self.coordinator = coordinator
         self.secret = secret
-        self.poll = float(poll)
-        self.max_attempts = _budget(max_attempts)
-        self.workers_expected = int(workers_expected)
-        self.worker_timeout = float(worker_timeout)
-        self.timeout = timeout
 
-    def run(self, items: Sequence[TransportItem],
-            options: Optional[Dict[str, Any]] = None
-            ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        from .queue import FileTaskQueue
+    def _open(self, deadline: Optional[float]) -> SweepLink:
+        return _SubmitterLink(self, deadline)
 
-        deadline = (time.monotonic() + self.timeout
-                    if self.timeout is not None else None)
-        client = self._connect(deadline, first=True)
-        try:
-            if self.workers_expected > 0:
-                self._await_workers(client)
-            pending: Dict[str, int] = {
-                FileTaskQueue.task_id(index, digest): index
-                for index, _config, digest in items}
-            tasks = [{
-                "id": FileTaskQueue.task_id(index, digest),
-                "digest": digest,
-                "config": config.to_dict(),
-                "max_attempts": self.max_attempts,
-                **({"options": dict(options)} if options else {}),
-            } for index, config, digest in items]
-            self._submit(client, tasks)
-            while pending:
-                try:
-                    ready = self._collect(client, sorted(pending))
-                except OSError:
-                    client.close()
-                    client = self._connect(deadline)
-                    # The coordinator may have restarted and lost the
-                    # board: re-submitting is idempotent and revives
-                    # anything that was pending or in flight.
-                    self._submit(client, [t for t in tasks
-                                          if t["id"] in pending])
-                    continue
-                for payload in ready:
-                    index = pending.pop(str(payload["id"]), None)
-                    if index is not None:
-                        yield index, payload
-                if not pending:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"tcp sweep timed out after {self.timeout}s with "
-                        f"{len(pending)} task(s) unfinished (live workers: "
-                        f"{self._workers(client) or 'none'})")
-                if not ready:
-                    time.sleep(self.poll)
-        finally:
-            client.close()
-
-    # -- protocol helpers ---------------------------------------------------
-
-    def _connect(self, deadline: Optional[float],
-                 first: bool = False) -> CoordinatorClient:
-        backoff = _BACKOFF_FIRST
-        while True:
-            try:
-                return CoordinatorClient(self.coordinator, secret=self.secret,
-                                         role="submitter").connect()
-            except HandshakeError:
-                raise
-            except OSError as exc:
-                if first:
-                    host, port = (parse_address(self.coordinator)
-                                  if isinstance(self.coordinator, str)
-                                  else self.coordinator)
-                    raise ConnectionError(
-                        f"cannot reach the coordinator at {host}:{port} "
-                        f"({exc}); start it with 'python -m repro serve "
-                        f"--port {port}'") from exc
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"tcp sweep timed out after {self.timeout}s while "
-                        f"reconnecting to the coordinator") from exc
-                time.sleep(backoff)
-                backoff = min(backoff * 2, _BACKOFF_MAX)
-
-    def _submit(self, client: CoordinatorClient,
-                tasks: Sequence[Dict[str, Any]]) -> None:
-        for start in range(0, len(tasks), _BATCH):
-            client.request({"op": "submit",
-                            "tasks": list(tasks[start:start + _BATCH])})
-
-    def _collect(self, client: CoordinatorClient,
-                 task_ids: Sequence[str]) -> List[Dict[str, Any]]:
-        results: List[Dict[str, Any]] = []
-        for start in range(0, len(task_ids), _BATCH):
-            response = client.request(
-                {"op": "collect", "ids": list(task_ids[start:start + _BATCH])})
-            results.extend(response.get("results", []))
-        return results
-
-    def _workers(self, client: CoordinatorClient) -> List[str]:
-        try:
-            return list(client.request({"op": "workers"}).get("workers", []))
-        except (OSError, RuntimeError):
-            return []
-
-    def _await_workers(self, client: CoordinatorClient) -> None:
-        deadline = time.monotonic() + self.worker_timeout
-        while True:
-            alive = self._workers(client)
-            if len(alive) >= self.workers_expected:
-                return
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"only {len(alive)} of {self.workers_expected} expected "
-                    f"worker(s) connected to the coordinator within "
-                    f"{self.worker_timeout:.0f}s — start them with "
-                    f"'python -m repro worker --connect HOST:PORT'")
-            time.sleep(min(self.poll, 0.5))
+    def _missing_workers(self) -> Tuple[str, str]:
+        return ("connected to the coordinator",
+                "python -m repro worker --connect HOST:PORT")

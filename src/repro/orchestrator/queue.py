@@ -7,7 +7,8 @@ for their result files, and feeds them back through the normal
 :func:`~repro.orchestrator.pool.run_sweep` bookkeeping — so cache,
 ledger, ordering and aggregation behave exactly as in a local run.
 
-The queue needs nothing but POSIX rename semantics:
+Every lease decision is :mod:`~repro.orchestrator.lease`'s, shared with
+the TCP coordinator; this module stores them with POSIX renames alone:
 
 * **Claiming is an atomic rename** of ``tasks/<id>.json`` into
   ``leases/<id>.json``.  Exactly one worker wins; losers get ``ENOENT``
@@ -17,12 +18,11 @@ The queue needs nothing but POSIX rename semantics:
   presumed dead and *reclaimed* — renamed away under a private name (again
   atomic, so only one reclaimer wins) and re-enqueued with its attempt
   counter bumped.
-* **Results are atomic too**: workers write ``results/<id>.json`` via a
-  temp file + ``os.replace``, so the coordinator never reads a torn
-  result.
-* **Retries are budgeted**: each task carries ``attempt``/``max_attempts``;
-  a task that keeps failing (or whose workers keep dying) becomes a failed
-  result instead of looping forever.
+* **Failures are reported under the same rename**, and only by the
+  worker the lease file names — a late failure from a worker whose lease
+  was reclaimed is ignored.
+* **Results are atomic too** (temp file + ``os.replace``), so the
+  coordinator never reads a torn result.
 
 Directory layout under the queue root::
 
@@ -37,16 +37,30 @@ from __future__ import annotations
 
 import os
 import socket
-import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..telemetry import counter as _metric, summarize_ages
+from ..telemetry import counter as _metric
 from .fsutil import read_json as _read_json
 from .fsutil import write_json_atomic as _write_json_atomic
-from .transport import TransportItem, execute_payload
+from .lease import (
+    DEFAULT_LEASE_TTL,
+    DEFAULT_POLL,
+    DEFAULT_TASK_ATTEMPTS,
+    RESULT_KIND,
+    TASK_KIND,
+    board_status,
+    charge_failure,
+    heartbeat_interval,
+    is_final,
+    make_task_id,
+    new_task,
+    next_attempt,
+    result_payload,
+)
+from .remote import Progress, RemoteTransport, SweepLink, WorkerSummary, serve
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -60,19 +74,10 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-TASK_KIND = "sweep-task"
-RESULT_KIND = "sweep-task-result"
 WORKER_KIND = "sweep-worker"
 STOP_FILENAME = "STOP"
 #: Coordinator-published live status snapshot (atomic write, JSON).
 STATUS_FILENAME = "status.json"
-
-#: Seconds without a heartbeat after which a lease is presumed dead.
-DEFAULT_LEASE_TTL = 60.0
-#: Seconds between idle polls (workers) and result scans (coordinator).
-DEFAULT_POLL = 0.2
-#: Default per-task execution budget (first try included).
-DEFAULT_TASK_ATTEMPTS = 3
 
 
 def _touch(path: Path) -> None:
@@ -82,77 +87,11 @@ def _touch(path: Path) -> None:
         pass  # raced a reclaim/cleanup; the owner will find out shortly
 
 
-def _budget(value: Any) -> Optional[int]:
-    """Normalise a retry budget: ``None`` / ``<= 0`` mean unlimited."""
-    if value is None:
-        return None
-    value = int(value)
-    return value if value > 0 else None
-
-
-def _payload_budget(payload: Dict[str, Any]) -> Optional[int]:
-    return _budget(payload.get("max_attempts", DEFAULT_TASK_ATTEMPTS))
-
-
-class WorkerSummary:
-    """What one worker did over its lifetime, for the shutdown summary.
-
-    Returned by :func:`run_worker` and
-    :func:`~repro.orchestrator.net.run_tcp_worker`.  Compares equal to an
-    ``int`` as the number of tasks processed, so the historical
-    ``run_worker(...) == N`` contract (and every caller written against
-    it) keeps working.
-    """
-
-    __slots__ = ("worker_id", "processed", "done", "failed", "retried",
-                 "heartbeats", "reconnects", "replayed", "last_task_failed")
-
-    def __init__(self, worker_id: str = "") -> None:
-        self.worker_id = worker_id
-        self.processed = 0
-        self.done = 0
-        self.failed = 0
-        self.retried = 0
-        self.heartbeats = 0
-        self.reconnects = 0
-        self.replayed = 0
-        #: Whether the most recent task ended in a *terminal* failure (a
-        #: retry that stays on the queue does not count) — the CLI exits
-        #: nonzero on it.
-        self.last_task_failed = False
-
-    def __int__(self) -> int:
-        return self.processed
-
-    def __index__(self) -> int:
-        return self.processed
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
-            return self.processed == other
-        if isinstance(other, WorkerSummary):
-            return all(getattr(self, slot) == getattr(other, slot)
-                       for slot in self.__slots__)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"WorkerSummary(worker_id={self.worker_id!r}, "
-                f"processed={self.processed}, done={self.done}, "
-                f"failed={self.failed}, retried={self.retried})")
-
-    def describe(self) -> str:
-        """The one-line shutdown summary the worker CLI logs."""
-        line = (f"worker {self.worker_id or '?'} done: "
-                f"{self.processed} task(s) "
-                f"({self.done} ok, {self.failed} failed, "
-                f"{self.retried} retried), "
-                f"{self.heartbeats} heartbeat(s) sent")
-        if self.reconnects or self.replayed:
-            line += (f", {self.reconnects} reconnect(s), "
-                     f"{self.replayed} result(s) replayed")
-        return line
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass  # already gone: someone else finished the job
 
 
 class FileTaskQueue:
@@ -173,12 +112,7 @@ class FileTaskQueue:
 
     # -- identities ---------------------------------------------------------
 
-    @staticmethod
-    def task_id(index: int, digest: str) -> str:
-        """Stable id: the spec index keeps claim order ≈ spec order, the
-        digest makes concurrent coordinators running the same spec share
-        (rather than duplicate) tasks."""
-        return f"{index:06d}-{digest}"
+    task_id = staticmethod(make_task_id)
 
     def task_path(self, task_id: str) -> Path:
         return self.tasks / f"{task_id}.json"
@@ -189,46 +123,30 @@ class FileTaskQueue:
     def result_path(self, task_id: str) -> Path:
         return self.results / f"{task_id}.json"
 
+    def _private_path(self, task_id: str) -> Path:
+        """A fresh ``.reclaim`` name: :meth:`reclaim_stale` recovers it if
+        the process holding it dies."""
+        return self.leases / f".{task_id}.{uuid.uuid4().hex}.reclaim"
+
     # -- coordinator side ---------------------------------------------------
 
     def enqueue(self, task_id: str, config_dict: Dict[str, Any], digest: str,
                 max_attempts: Optional[int] = DEFAULT_TASK_ATTEMPTS,
                 options: Optional[Dict[str, Any]] = None) -> str:
-        """Make ``task_id`` runnable; returns how it was handled.
-
-        ``"result-exists"``: a previous (identical) run already finished it
-        and the result can be consumed immediately.  ``"pending"``: some
-        coordinator already enqueued it and it is waiting or running.
-        ``"enqueued"``: a fresh task file was written.  A lingering *failed*
-        result is deleted and retried — failures are never treated as
-        cached.  ``options`` (e.g. ``checkpoint_every``/``checkpoint_dir``)
-        rides along in the task file so any worker — including the one
-        that resumes after the original owner dies — runs it the same way.
+        """Make ``task_id`` runnable: ``"result-exists"`` (a success can be
+        consumed now), ``"pending"`` (already waiting or running) or
+        ``"enqueued"``.  A lingering *failed* result is deleted and retried.
         """
         self.ensure_layout()
-        result = self.result_path(task_id)
-        payload = _read_json(result)
-        if payload is not None and "record" in payload:
+        result = _read_json(self.result_path(task_id))
+        if is_final(result):
             return "result-exists"
-        if payload is not None:
-            try:
-                result.unlink()
-            except OSError:
-                pass
+        if result is not None:
+            _unlink(self.result_path(task_id))
         if self.task_path(task_id).exists() or self.lease_path(task_id).exists():
             return "pending"
-        task = {
-            "kind": TASK_KIND,
-            "id": task_id,
-            "digest": digest,
-            "config": config_dict,
-            "attempt": 0,
-            "max_attempts": _budget(max_attempts),
-            "enqueued_at": time.time(),
-        }
-        if options:
-            task["options"] = dict(options)
-        _write_json_atomic(self.task_path(task_id), task)
+        _write_json_atomic(self.task_path(task_id), new_task(
+            task_id, config_dict, digest, max_attempts, options))
         _metric("queue.enqueued").inc()
         return "enqueued"
 
@@ -247,17 +165,12 @@ class FileTaskQueue:
 
     def status_snapshot(self, window: float = 60.0,
                         now: Optional[float] = None) -> Dict[str, Any]:
-        """A JSON-ready snapshot of the board for ``repro status``.
-
-        Computed purely from directory listings and mtimes, so any process
-        that can see the queue directory — coordinator, worker, or an
-        operator's shell — gets the same answer without coordination.
-        ``window`` bounds the rolling-throughput estimate (results whose
-        mtime falls inside the last ``window`` seconds).
-        """
+        """A JSON-ready snapshot of the board for ``repro status``, from
+        directory listings and mtimes alone — so any process that sees the
+        directory gets the same answer.  ``window`` bounds the throughput
+        estimate (results with an mtime in the last ``window`` seconds)."""
         now = time.time() if now is None else now
         self.ensure_layout()
-        pending = sum(1 for _ in self.tasks.glob("*.json"))
         leases: List[Dict[str, Any]] = []
         for path in sorted(self.leases.glob("*.json")):
             try:
@@ -268,8 +181,7 @@ class FileTaskQueue:
             leases.append({"id": path.stem,
                            "worker": payload.get("worker"),
                            "age": round(age, 3)})
-        done = 0
-        completed_in_window = 0
+        done = completed_in_window = 0
         for path in self.results.glob("*.json"):
             done += 1
             try:
@@ -292,19 +204,8 @@ class FileTaskQueue:
             "kind": "queue-status",
             "root": str(self.root),
             "lease_ttl": self.lease_ttl,
-            "board": {
-                "pending": pending,
-                "leased": len(leases),
-                "done": done,
-                "lease_ages": summarize_ages([l["age"] for l in leases]),
-                "leases": leases,
-                "throughput": {
-                    "window": window,
-                    "completed": completed_in_window,
-                    "per_second": round(completed_in_window / window, 4)
-                                  if window > 0 else 0.0,
-                },
-            },
+            "board": board_status(sum(1 for _ in self.tasks.glob("*.json")),
+                                  leases, done, completed_in_window, window),
             "workers": workers,
             "stop": (self.root / STOP_FILENAME).exists(),
         }
@@ -313,12 +214,9 @@ class FileTaskQueue:
 
     def claim(self, worker_id: Optional[str] = None
               ) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """Atomically claim the lowest-id pending task, or ``None``.
-
-        When ``worker_id`` is given, the lease file is rewritten with a
-        ``"worker"`` field so status readers can attribute the lease to
-        its owner.
-        """
+        """Atomically claim the lowest-id pending task, or ``None``.  A
+        given ``worker_id`` is written into the lease: ``repro status``
+        shows it and :meth:`report` checks ownership against it."""
         for task_path in sorted(self.tasks.glob("*.json")):
             lease_path = self.leases / task_path.name
             try:
@@ -331,15 +229,7 @@ class FileTaskQueue:
             # born stale and reclaimed out from under its live owner.
             _touch(lease_path)
             payload = _read_json(lease_path)
-            if payload is None or payload.get("kind") != TASK_KIND:
-                # An unreadable task must still terminate: publishing a
-                # failed result (rather than silently dropping the file)
-                # keeps the coordinator from waiting on it forever.
-                self.complete(task_path.stem, {
-                    "error": (f"unreadable task payload for "
-                              f"{task_path.stem!r}"),
-                    "attempt": 1,
-                })
+            if self._unreadable(task_path.stem, payload):
                 continue
             if worker_id is not None:
                 payload["worker"] = worker_id
@@ -354,34 +244,92 @@ class FileTaskQueue:
         _touch(self.lease_path(task_id))
         _metric("queue.heartbeats").inc()
 
-    def complete(self, task_id: str, result_payload: Dict[str, Any]) -> None:
+    def report(self, task: Dict[str, Any], outcome: Dict[str, Any]) -> str:
+        """Consume the outcome of a task claimed by ``task["worker"]``; same
+        contract as :meth:`~repro.orchestrator.net.TaskBoard.complete`."""
+        task_id = str(task["id"])
+        worker = task.get("worker")
+        if "record" in outcome:
+            published = self.complete(task_id, result_payload(
+                task_id, task, outcome, next_attempt(task), worker))
+            return "done" if published else "ignored"
+        private = self._take_lease(task_id, worker)
+        if private is None:
+            return "ignored"
+        terminal = charge_failure(task, outcome, worker)
+        self._release(private, task, terminal)
+        return "retry" if terminal is None else "done"
+
+    def complete(self, task_id: str, payload: Dict[str, Any]) -> bool:
         """Publish a result (record or terminal error) and drop the lease.
+        Returns whether it was written: a published success is final."""
+        published = self._publish(task_id, payload)
+        _unlink(self.lease_path(task_id))
+        return published
 
-        A failure never overwrites an existing *successful* result: a
-        reclaimer that presumed a slow-but-alive worker dead (or a worker
-        whose duplicate run lost a race) must not turn a finished task
-        back into a failed one.
-        """
-        result_payload.setdefault("kind", RESULT_KIND)
-        result_payload.setdefault("id", task_id)
-        existing = _read_json(self.result_path(task_id))
-        if not (existing is not None and "record" in existing
-                and "record" not in result_payload):
-            _write_json_atomic(self.result_path(task_id), result_payload)
+    def release_for_retry(self, task_id: str, payload: Dict[str, Any]) -> bool:
+        """Put a failed-but-retryable task back on the queue if
+        ``payload["worker"]`` still owns its lease; returns whether it did."""
+        private = self._take_lease(task_id, payload.get("worker"))
+        if private is None:
+            return False
+        self._release(private, payload, None)
+        return True
+
+    def _publish(self, task_id: str, payload: Dict[str, Any]) -> bool:
+        payload.setdefault("kind", RESULT_KIND)
+        payload.setdefault("id", task_id)
         _metric("queue.completes").inc()
-        try:
-            self.lease_path(task_id).unlink()
-        except OSError:
-            pass  # already reclaimed; the duplicate run wrote the same result
+        if is_final(_read_json(self.result_path(task_id))):
+            return False
+        _write_json_atomic(self.result_path(task_id), payload)
+        return True
 
-    def release_for_retry(self, task_id: str, payload: Dict[str, Any]) -> None:
-        """Put a failed-but-retryable task back on the queue."""
-        _metric("queue.retries").inc()
-        _write_json_atomic(self.task_path(task_id), payload)
+    def _unreadable(self, task_id: str,
+                    payload: Optional[Dict[str, Any]]) -> bool:
+        """An unreadable task must still terminate: it becomes a failed
+        result (rather than vanishing) so no coordinator waits forever."""
+        if payload is not None and payload.get("kind") == TASK_KIND:
+            return False
+        self.complete(task_id, {
+            "error": f"unreadable task payload for {task_id!r}", "attempt": 1})
+        return True
+
+    def _take_lease(self, task_id: str, worker: Optional[str]
+                    ) -> Optional[Path]:
+        """Rename ``task_id``'s lease to a private name if ``worker`` owns
+        it; only the process that wins the rename acts on the task."""
+        lease_path = self.lease_path(task_id)
+        held = _read_json(lease_path)
+        if held is None or held.get("worker") != worker:
+            return None
+        private = self._private_path(task_id)
         try:
-            self.lease_path(task_id).unlink()
+            os.rename(lease_path, private)
+        except OSError:
+            return None  # reclaimed or completed since the read
+        taken = _read_json(private) or {}
+        if taken.get("worker") == worker:
+            return private
+        # Reclaimed and re-claimed between the read and the rename: the
+        # lease is someone else's, give it back.
+        try:
+            os.rename(private, lease_path)
         except OSError:
             pass
+        return None
+
+    def _release(self, private: Path, task: Dict[str, Any],
+                 terminal: Optional[Dict[str, Any]]) -> None:
+        """Finish a taken lease: re-enqueue ``task`` or publish its
+        ``terminal`` failure, then drop the private file (in that order, so
+        a crash in between leaves the ``.reclaim`` file to recover)."""
+        if terminal is None:
+            _metric("queue.retries").inc()
+            _write_json_atomic(self.task_path(str(task["id"])), task)
+        else:
+            self._publish(str(task["id"]), terminal)
+        _unlink(private)
 
     # -- maintenance: long-lived queue directories ---------------------------
 
@@ -389,21 +337,11 @@ class FileTaskQueue:
            reclaim: bool = True) -> Dict[str, int]:
         """Prune a long-lived queue directory; returns per-category counts.
 
-        * stale **leases** are first recovered through
-          :meth:`reclaim_stale` (re-enqueued, or turned into failed results
-          when out of attempts) so no work is lost;
-        * **results** — completed and failed task files alike — older than
-          ``ttl`` seconds are deleted (a coordinator consumes its results
-          within one sweep, so anything older belongs to a finished
-          campaign);
-        * dead **worker registrations** (no heartbeat for ``ttl`` seconds)
-          are deleted;
-        * a leftover ``STOP`` sentinel older than ``ttl`` is removed so the
-          directory can serve a new campaign.
-
-        Run it between campaigns, or periodically with a ``ttl`` larger
-        than any sweep's duration — deleting a result file a live
-        coordinator still waits for would make it re-enqueue the task.
+        Stale leases are first reclaimed (so no work is lost); then results,
+        dead worker registrations and a ``STOP`` sentinel older than ``ttl``
+        seconds are deleted.  Use a ``ttl`` larger than any sweep's
+        duration: a live coordinator whose result file is deleted
+        re-enqueues the task.
         """
         now = time.time() if now is None else now
         self.ensure_layout()
@@ -432,15 +370,10 @@ class FileTaskQueue:
     # -- shared: stale-lease recovery ---------------------------------------
 
     def reclaim_stale(self, now: Optional[float] = None) -> List[str]:
-        """Recover leases whose owner stopped heartbeating.
-
-        Both workers and the coordinator call this opportunistically, so a
-        sweep finishes even if the machine that claimed a task died.  Each
-        reclaim consumes one attempt; a task out of attempts becomes a
-        failed result.  ``.reclaim`` files orphaned by a reclaimer that
-        itself died mid-recovery are swept by the same pass, so a task can
-        never be stranded under a name nothing scans.
-        """
+        """Recover leases whose owner stopped heartbeating (each consumes
+        one attempt).  Workers and coordinators call this opportunistically;
+        ``.reclaim`` files orphaned by a process that died mid-recovery are
+        swept by the same pass, so no task is stranded."""
         now = time.time() if now is None else now
         reclaimed: List[str] = []
         candidates = list(self.leases.glob("*.json"))
@@ -459,67 +392,31 @@ class FileTaskQueue:
         return reclaimed
 
     def _reclaim_one(self, path: Path) -> Optional[str]:
-        """Recover one stale lease (or orphaned reclaim file).
-
-        Crash-safe ordering: the stale file is first renamed to a fresh
-        private name (atomic — exactly one reclaimer wins, and the file
-        keeps a scannable ``.reclaim`` suffix in case *this* process dies
-        next), then the re-enqueued task or terminal failure is written,
-        and only then is the private file removed.
-        """
+        """Recover one stale lease (or orphaned reclaim file): rename it to
+        a private name (exactly one reclaimer wins), then :meth:`_release`."""
         if path.suffix == ".json":
             fallback_id = path.stem
-        else:  # ".<task-id>.<nonce>.reclaim" left by a dead reclaimer
+        else:  # ".<task-id>.<nonce>.reclaim" left by a dead process
             fallback_id = path.name.lstrip(".").rsplit(".", 2)[0]
-        private = self.leases / f".{fallback_id}.{uuid.uuid4().hex}.reclaim"
+        private = self._private_path(fallback_id)
         try:
             os.rename(path, private)
         except OSError:
             return None  # lost the race to another reclaimer / completion
         payload = _read_json(private)
-        if payload is None or payload.get("kind") != TASK_KIND:
-            # Same liveness rule as claim(): an unreadable task becomes a
-            # failed result instead of vanishing.
-            self.complete(fallback_id, {
-                "error": f"unreadable task payload for {fallback_id!r}",
-                "attempt": 1,
-            })
-            try:
-                private.unlink()
-            except OSError:
-                pass
+        if self._unreadable(fallback_id, payload):
+            _unlink(private)
             return fallback_id
-        task_id = payload.get("id") or fallback_id
+        task_id = payload.setdefault("id", fallback_id)
         # If the task turned out to be alive after all — its result was
         # published, it was re-enqueued, or it is leased again — recovering
         # would resurrect finished work; just drop the stale copy.
-        alive = (self.task_path(task_id).exists()
-                 or self.lease_path(task_id).exists())
-        result = _read_json(self.result_path(task_id))
-        if alive or (result is not None and "record" in result):
-            try:
-                private.unlink()
-            except OSError:
-                pass
+        if (self.task_path(task_id).exists()
+                or self.lease_path(task_id).exists()
+                or is_final(_read_json(self.result_path(task_id)))):
+            _unlink(private)
             return None
-        payload["attempt"] = int(payload.get("attempt", 0)) + 1
-        budget = _payload_budget(payload)
-        if budget is not None and payload["attempt"] >= budget:
-            self.complete(task_id, {
-                "kind": RESULT_KIND,
-                "id": task_id,
-                "digest": payload.get("digest", ""),
-                "config": payload.get("config", {}),
-                "error": (f"worker lease expired and the task is out of "
-                          f"attempts ({payload['attempt']}/{budget})"),
-                "attempt": payload["attempt"],
-            })
-        else:
-            _write_json_atomic(self.task_path(task_id), payload)
-        try:
-            private.unlink()
-        except OSError:
-            pass
+        self._release(private, payload, charge_failure(payload))
         return task_id
 
 
@@ -527,253 +424,166 @@ class FileTaskQueue:
 # The worker daemon — ``python -m repro worker <queue-dir>``
 # ---------------------------------------------------------------------------
 
+class _DirectorySource:
+    """Tasks from a queue directory; the worker registers under
+    ``workers/`` and keeps its registration and leases fresh by mtime."""
+
+    def __init__(self, queue: FileTaskQueue, worker_id: str,
+                 poll: float) -> None:
+        self.queue = queue
+        self.worker_id = worker_id
+        self.lease_ttl = queue.lease_ttl
+        self.summary = WorkerSummary(worker_id)
+        queue.ensure_layout()
+        self.registration = queue.workers / f"{worker_id}.json"
+        _write_json_atomic(self.registration, {
+            "kind": WORKER_KIND, "id": worker_id, "host": socket.gethostname(),
+            "pid": os.getpid(), "started_at": time.time()})
+        self._beat_every = heartbeat_interval(queue.lease_ttl)
+        self._reclaim_every = max(queue.lease_ttl / 4.0, poll)
+        self._last_beat = self._last_reclaim = float("-inf")
+
+    def stopped(self) -> bool:
+        return (self.queue.root / STOP_FILENAME).exists()
+
+    def claim(self) -> Optional[Dict[str, Any]]:
+        now = time.monotonic()
+        if now - self._last_beat >= self._beat_every:
+            _touch(self.registration)
+            self.summary.heartbeats += 1
+            self._last_beat = now
+        if now - self._last_reclaim >= self._reclaim_every:
+            self.queue.reclaim_stale()
+            self._last_reclaim = now
+        claimed = self.queue.claim(self.worker_id)
+        return None if claimed is None else claimed[1]
+
+    def heartbeat(self, task_id: str) -> bool:
+        self.queue.touch_lease(task_id)
+        _touch(self.registration)
+        return True
+
+    def report(self, task: Dict[str, Any], outcome: Dict[str, Any]) -> str:
+        return self.queue.report(task, outcome)
+
+    def undelivered(self) -> bool:
+        return False
+
+    def close(self) -> None:
+        _unlink(self.registration)
+
+
 def run_worker(queue_dir: PathLike,
                worker_id: Optional[str] = None,
                lease_ttl: float = DEFAULT_LEASE_TTL,
                poll: float = DEFAULT_POLL,
                max_idle: Optional[float] = None,
                max_tasks: Optional[int] = None,
-               progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+               progress: Optional[Progress] = None,
                checkpoint_dir: Optional[PathLike] = None,
                checkpoint_every: Optional[int] = None,
                ) -> WorkerSummary:
-    """Pull-and-execute loop; returns a :class:`WorkerSummary` (which
-    compares equal to the number of tasks processed).
-
-    The worker claims tasks, executes them through the same
-    :func:`~repro.orchestrator.transport.execute_payload` body the process
-    pool uses, heartbeats its lease from a background thread while the
-    simulation runs, and publishes the outcome.  A task that raises is
-    retried (by this or any other worker) until its attempt budget is
-    spent, then published as a failed result.
-
-    Checkpointing: each task's own ``options`` (set by the enqueueing
-    coordinator) apply by default; ``checkpoint_dir`` / ``checkpoint_every``
-    override them for this worker — e.g. to point at a directory that is
-    shared between workers when the coordinator's path is not.  A task
-    resumed from a checkpoint reports ``"resumed_round"`` in its result.
-
-    Exit conditions: a ``STOP`` file in the queue root, ``max_idle``
-    seconds without finding work, or ``max_tasks`` processed.
+    """Serve a queue directory with :func:`~repro.orchestrator.remote.serve`;
+    returns its :class:`WorkerSummary`.  A ``STOP`` file in the queue root
+    also ends the loop.  ``checkpoint_dir`` / ``checkpoint_every`` override
+    the task's own options — e.g. to point at a directory shared between
+    workers when the coordinator's path is not.
     """
     queue = FileTaskQueue(queue_dir, lease_ttl=lease_ttl)
-    queue.ensure_layout()
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    worker_file = queue.workers / f"{worker_id}.json"
-    _write_json_atomic(worker_file, {
-        "kind": WORKER_KIND,
-        "id": worker_id,
-        "host": socket.gethostname(),
-        "pid": os.getpid(),
-        "started_at": time.time(),
-    })
-    heartbeat_every = max(min(lease_ttl / 4.0, 5.0), 0.05)
-    reclaim_every = max(lease_ttl / 4.0, poll)
-    summary = WorkerSummary(worker_id)
-    idle_since = time.monotonic()
-    last_beat = last_reclaim = float("-inf")
-    try:
-        while True:
-            if (queue.root / STOP_FILENAME).exists():
-                break
-            now = time.monotonic()
-            if now - last_beat >= heartbeat_every:
-                _touch(worker_file)
-                summary.heartbeats += 1
-                last_beat = now
-            if now - last_reclaim >= reclaim_every:
-                queue.reclaim_stale()
-                last_reclaim = now
-            claimed = queue.claim(worker_id)
-            if claimed is None:
-                if (max_idle is not None
-                        and time.monotonic() - idle_since >= max_idle):
-                    break
-                time.sleep(poll)
-                continue
-            task_id, payload = claimed
-
-            stop_beat = threading.Event()
-
-            def beat() -> None:
-                while not stop_beat.wait(heartbeat_every):
-                    queue.touch_lease(task_id)
-                    _touch(worker_file)
-                    summary.heartbeats += 1
-
-            task_options = dict(payload.get("options") or {})
-            if checkpoint_dir is not None:
-                task_options["checkpoint_dir"] = str(checkpoint_dir)
-            if checkpoint_every is not None:
-                task_options["checkpoint_every"] = int(checkpoint_every)
-
-            beater = threading.Thread(target=beat, daemon=True)
-            beater.start()
-            try:
-                outcome = execute_payload(payload.get("config", {}),
-                                          task_options or None)
-            finally:
-                stop_beat.set()
-                beater.join()
-
-            attempt = int(payload.get("attempt", 0)) + 1
-            budget = _payload_budget(payload)
-            result: Dict[str, Any] = {
-                "kind": RESULT_KIND,
-                "id": task_id,
-                "digest": payload.get("digest", ""),
-                "config": payload.get("config", {}),
-                "elapsed": outcome.get("elapsed", 0.0),
-                "worker": worker_id,
-                "attempt": attempt,
-            }
-            if "resumed_round" in outcome:
-                result["resumed_round"] = outcome["resumed_round"]
-            if "record" in outcome:
-                result["record"] = outcome["record"]
-                queue.complete(task_id, result)
-                summary.done += 1
-                summary.last_task_failed = False
-            elif budget is not None and attempt >= budget:
-                result["error"] = outcome.get("error", "unknown error")
-                queue.complete(task_id, result)
-                summary.failed += 1
-                summary.last_task_failed = True
-            else:
-                payload["attempt"] = attempt
-                queue.release_for_retry(task_id, payload)
-                result["retrying"] = True
-                result["error"] = outcome.get("error", "unknown error")
-                summary.retried += 1
-                summary.last_task_failed = False
-            summary.processed += 1
-            # The idle clock starts when the task *finishes* — a long task
-            # must not count toward --max-idle.
-            idle_since = time.monotonic()
-            if progress is not None:
-                progress(task_id, result)
-            if max_tasks is not None and summary.processed >= max_tasks:
-                break
-    finally:
-        try:
-            worker_file.unlink()
-        except OSError:
-            pass
-    return summary
+    return serve(_DirectorySource(queue, worker_id, poll), poll=poll,
+                 max_idle=max_idle, max_tasks=max_tasks, progress=progress,
+                 checkpoint_dir=checkpoint_dir,
+                 checkpoint_every=checkpoint_every)
 
 
 # ---------------------------------------------------------------------------
 # The coordinator-side transport
 # ---------------------------------------------------------------------------
 
-class QueueTransport:
+class _DirectoryLink:
+    """A sweep's view of the queue directory; it also reclaims stale leases
+    and republishes ``status.json`` every quarter TTL and when done."""
+
+    def __init__(self, queue: FileTaskQueue, poll: float) -> None:
+        self.queue = queue
+        queue.ensure_layout()
+        self._reclaim_every = max(queue.lease_ttl / 4.0, poll)
+        self._last_reclaim = float("-inf")
+        self._total = 0
+
+    def submit(self, tasks: Sequence[Dict[str, Any]]) -> None:
+        for task in tasks:
+            self.queue.enqueue(task["id"], task["config"], task["digest"],
+                               max_attempts=task["max_attempts"],
+                               options=task.get("options"))
+        self._total = len(tasks)
+
+    def collect(self, task_ids: Sequence[str]) -> List[Dict[str, Any]]:
+        if time.monotonic() - self._last_reclaim >= self._reclaim_every:
+            self.queue.reclaim_stale()
+            self._publish_status(len(task_ids))
+            self._last_reclaim = time.monotonic()
+        # One directory listing per poll instead of one stat per pending
+        # task — kinder to the network filesystems this is designed for.
+        try:
+            ready = {entry[:-5] for entry in os.listdir(self.queue.results)
+                     if entry.endswith(".json")}
+        except OSError:
+            ready = set()
+        results = []
+        for task_id in sorted(ready.intersection(task_ids)):
+            payload = _read_json(self.queue.result_path(task_id))
+            if payload is not None:
+                payload.setdefault("id", task_id)
+                results.append(payload)
+        if len(results) == len(task_ids):
+            self._publish_status(0)
+        return results
+
+    def live_workers(self) -> List[str]:
+        return self.queue.live_workers()
+
+    def close(self) -> None:
+        pass
+
+    def _publish_status(self, outstanding: int) -> None:
+        """Best-effort: a sweep never dies over its status file."""
+        try:
+            snapshot = self.queue.status_snapshot()
+            snapshot["coordinator"] = {
+                "enqueued": self._total,
+                "collected": self._total - outstanding,
+                "outstanding": outstanding,
+                "published_at": time.time(),
+            }
+            _write_json_atomic(self.queue.root / STATUS_FILENAME, snapshot)
+        except OSError:
+            pass
+
+
+class QueueTransport(RemoteTransport):
     """Execute pending configs through a shared filesystem task queue.
 
     Construct with the queue directory the workers watch and pass to
     :func:`~repro.orchestrator.pool.run_sweep` (or use
-    ``repro sweep --transport queue --queue-dir DIR``).  ``workers_expected``
-    makes the sweep wait (up to ``worker_timeout`` seconds) until that many
-    live workers are registered before enqueueing, so a sweep against an
-    empty queue directory fails fast instead of hanging silently;
-    ``timeout`` bounds the whole wait for results.
+    ``repro sweep --transport queue --queue-dir DIR``); the other options
+    are :class:`~repro.orchestrator.remote.RemoteTransport`'s.
     """
 
     name = "queue"
 
     def __init__(self, queue_dir: PathLike,
-                 lease_ttl: float = DEFAULT_LEASE_TTL,
-                 poll: float = DEFAULT_POLL,
-                 max_attempts: Optional[int] = DEFAULT_TASK_ATTEMPTS,
-                 workers_expected: int = 0,
-                 worker_timeout: float = 60.0,
-                 timeout: Optional[float] = None) -> None:
+                 lease_ttl: float = DEFAULT_LEASE_TTL, **options: Any) -> None:
+        super().__init__(**options)
         self.queue_dir = Path(queue_dir)
         self.lease_ttl = float(lease_ttl)
-        self.poll = float(poll)
-        self.max_attempts = _budget(max_attempts)
-        self.workers_expected = int(workers_expected)
-        self.worker_timeout = float(worker_timeout)
-        self.timeout = timeout
 
-    def run(self, items: Sequence[TransportItem],
-            options: Optional[Dict[str, Any]] = None
-            ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        queue = FileTaskQueue(self.queue_dir, lease_ttl=self.lease_ttl)
-        queue.ensure_layout()
-        if self.workers_expected > 0:
-            self._await_workers(queue)
-        pending: Dict[str, int] = {}
-        for index, config, digest in items:
-            task_id = queue.task_id(index, digest)
-            queue.enqueue(task_id, config.to_dict(), digest,
-                          max_attempts=self.max_attempts, options=options)
-            pending[task_id] = index
-        total = len(pending)
+    def _open(self, deadline: Optional[float]) -> SweepLink:
+        return _DirectoryLink(
+            FileTaskQueue(self.queue_dir, lease_ttl=self.lease_ttl),
+            self.poll)
 
-        def publish_status() -> None:
-            """Drop a live snapshot next to the queue for ``repro status``.
-
-            Best-effort: a sweep must never die because the status file
-            could not be written.
-            """
-            try:
-                snapshot = queue.status_snapshot()
-                snapshot["coordinator"] = {
-                    "enqueued": total,
-                    "collected": total - len(pending),
-                    "outstanding": len(pending),
-                    "published_at": time.time(),
-                }
-                _write_json_atomic(self.queue_dir / STATUS_FILENAME, snapshot)
-            except OSError:
-                pass
-
-        deadline = (time.monotonic() + self.timeout
-                    if self.timeout is not None else None)
-        reclaim_every = max(self.lease_ttl / 4.0, self.poll)
-        last_reclaim = float("-inf")
-        while pending:
-            if time.monotonic() - last_reclaim >= reclaim_every:
-                queue.reclaim_stale()
-                publish_status()
-                last_reclaim = time.monotonic()
-            progressed = False
-            # One directory listing per poll instead of one stat per
-            # pending task — kinder to the network filesystems this
-            # transport is designed for.
-            try:
-                ready = {entry[:-5] for entry in os.listdir(queue.results)
-                         if entry.endswith(".json")}
-            except OSError:
-                ready = set()
-            for task_id in sorted(pending.keys() & ready):
-                payload = _read_json(queue.result_path(task_id))
-                if payload is None:
-                    continue
-                index = pending.pop(task_id)
-                progressed = True
-                yield index, payload
-            if not pending:
-                publish_status()
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"queue sweep timed out after {self.timeout}s with "
-                    f"{len(pending)} task(s) unfinished "
-                    f"(live workers: {queue.live_workers() or 'none'})")
-            if not progressed:
-                time.sleep(self.poll)
-
-    def _await_workers(self, queue: FileTaskQueue) -> None:
-        deadline = time.monotonic() + self.worker_timeout
-        while True:
-            alive = queue.live_workers()
-            if len(alive) >= self.workers_expected:
-                return
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"only {len(alive)} of {self.workers_expected} expected "
-                    f"worker(s) registered under {queue.root} within "
-                    f"{self.worker_timeout:.0f}s — start them with "
-                    f"'python -m repro worker {queue.root}'")
-            time.sleep(min(self.poll, 0.5))
+    def _missing_workers(self) -> Tuple[str, str]:
+        return (f"registered under {self.queue_dir}",
+                f"python -m repro worker {self.queue_dir}")

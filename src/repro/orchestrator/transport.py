@@ -7,31 +7,17 @@ from the ledger and the result cache first; whatever remains is handed to a
     run(items) -> iterator of (index, payload)
 
 ``items`` is a sequence of ``(index, config, digest)`` triples in spec
-order; the transport may yield results in any completion order — the pool
-reassembles spec order from the indices.  A payload is the JSON-safe
-outcome dictionary produced by :func:`execute_payload` (either a
-``"record"`` or an ``"error"`` key, plus ``"elapsed"``), which is exactly
-what queue workers write to result files and what pool workers return over
-the process boundary.
-
-Four backends ship with the orchestrator:
-
-* :class:`InlineTransport` — in the calling process, zero overhead, keeps
-  the original exception object (the historical ``jobs=1`` path),
-* :class:`ProcessTransport` — a ``multiprocessing`` pool on this machine
-  (the historical ``jobs>1`` path),
-* :class:`~repro.orchestrator.queue.QueueTransport` — a filesystem task
-  queue served by ``python -m repro worker`` daemons on any machines that
-  share the filesystem,
-* :class:`~repro.orchestrator.net.TcpTransport` — a TCP coordinator
-  (``python -m repro serve``) serving ``python -m repro worker --connect``
-  daemons on machines that share nothing but a network.
-
-:data:`TRANSPORTS` is the single registry behind all of this: its keys are
-the names ``run_sweep(transport=...)`` and the CLI's ``--transport`` accept,
-its values build the backend.  Registering a new transport here is all it
-takes for the CLI choices, the error messages and :func:`resolve_transport`
-to pick it up.
+order; results may come in any completion order — the pool reassembles
+spec order from the indices.  A payload is the JSON-safe outcome of
+:func:`execute_payload`: a ``"record"`` or an ``"error"``, plus
+``"elapsed"``.  Four backends ship: :class:`InlineTransport` (this
+process; the ``jobs=1`` default), :class:`ProcessTransport` (a local
+``multiprocessing`` pool; the ``jobs>1`` default),
+:class:`~repro.orchestrator.queue.QueueTransport` (worker daemons sharing
+a filesystem) and :class:`~repro.orchestrator.net.TcpTransport` (worker
+daemons sharing only a network).  :data:`TRANSPORTS` is the single
+registry behind the CLI's ``--transport`` choices, its error messages and
+:func:`resolve_transport`.
 """
 
 from __future__ import annotations
@@ -55,14 +41,40 @@ __all__ = [
 TransportItem = Tuple[int, Any, str]
 
 
+def _run(config: Any, options: Optional[Dict[str, Any]]
+         ) -> Tuple[Dict[str, Any], Optional[Exception]]:
+    """The one execution body: ``(payload, exception or None)``."""
+    from ..io import records_to_dicts  # looked up per call, so wrappable
+    from ..session import Session
+
+    options = options or {}
+    started = time.perf_counter()
+    try:
+        session = Session(
+            config,
+            checkpoint_every=options.get("checkpoint_every"),
+            checkpoint_dir=options.get("checkpoint_dir"))
+        record = session.execute()
+        payload: Dict[str, Any] = {
+            "record": records_to_dicts([record])[0],
+            "elapsed": time.perf_counter() - started,
+        }
+        if session.resumed_round is not None:
+            payload["resumed_round"] = session.resumed_round
+        return payload, None
+    except Exception as exc:
+        return {"error": traceback.format_exc(),
+                "elapsed": time.perf_counter() - started}, exc
+
+
 def execute_payload(config_dict: Dict[str, Any],
                     options: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
     """Run one serialised config; never raises.
 
     The shared worker body: process-pool workers call it across a pickle
-    boundary, queue workers call it and write the returned payload to a
-    result file.  Both sides therefore speak the same dialect.
+    boundary, queue and TCP workers call it and report the returned
+    payload.  Every side therefore speaks the same dialect.
 
     ``options`` carries execution options that are not part of the run's
     identity — ``checkpoint_every`` / ``checkpoint_dir`` — so a worker
@@ -70,31 +82,8 @@ def execute_payload(config_dict: Dict[str, Any],
     resumed run reports the round it continued from as ``"resumed_round"``
     in the payload (ledger records ignore the extra key).
     """
-    from ..io import records_to_dicts
-    from ..session import Session
-
-    options = options or {}
-    started = time.perf_counter()
-    try:
-        session = Session(
-            config_dict,
-            checkpoint_every=options.get("checkpoint_every"),
-            checkpoint_dir=options.get("checkpoint_dir"))
-        record = session.execute()
-        payload: Dict[str, Any] = {
-            "config": config_dict,
-            "record": records_to_dicts([record])[0],
-            "elapsed": time.perf_counter() - started,
-        }
-        if session.resumed_round is not None:
-            payload["resumed_round"] = session.resumed_round
-        return payload
-    except Exception:
-        return {
-            "config": config_dict,
-            "error": traceback.format_exc(),
-            "elapsed": time.perf_counter() - started,
-        }
+    payload, _exception = _run(config_dict, options)
+    return {"config": config_dict, **payload}
 
 
 def _indexed_payload(
@@ -121,30 +110,10 @@ class InlineTransport:
     def run(self, items: Sequence[TransportItem],
             options: Optional[Dict[str, Any]] = None
             ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        from ..io import records_to_dicts
-        from ..session import Session
-
-        options = options or {}
         for index, config, _digest in items:
-            started = time.perf_counter()
-            try:
-                session = Session(
-                    config,
-                    checkpoint_every=options.get("checkpoint_every"),
-                    checkpoint_dir=options.get("checkpoint_dir"))
-                record = session.execute()
-                payload: Dict[str, Any] = {
-                    "record": records_to_dicts([record])[0],
-                    "elapsed": time.perf_counter() - started,
-                }
-                if session.resumed_round is not None:
-                    payload["resumed_round"] = session.resumed_round
-            except Exception as exc:
-                payload = {
-                    "error": traceback.format_exc(),
-                    "exception": exc,
-                    "elapsed": time.perf_counter() - started,
-                }
+            payload, exception = _run(config, options)
+            if exception is not None:
+                payload["exception"] = exception
             yield index, payload
 
 

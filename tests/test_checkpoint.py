@@ -16,7 +16,6 @@ import pytest
 from repro.amoebot.scheduler import (
     _UniformKeyStream,
     make_scheduler,
-    run_algorithm,
 )
 from repro.amoebot.system import ParticleSystem
 from repro.core.dle import DLEAlgorithm
@@ -330,24 +329,3 @@ def test_full_pipeline_skips_completed_obd_on_resume(tmp_path):
            reference.record.details["obd_rounds"]
     assert records_to_dicts([resumed.record]) == \
            records_to_dicts([reference.record])
-
-
-# ---------------------------------------------------------------------------
-# Deprecated keyword shims
-# ---------------------------------------------------------------------------
-
-class TestKeywordShims:
-    def test_run_algorithm_scheduler_order_warns_and_works(self):
-        shape = make_shape("hexagon", 2, seed=0)
-        system = ParticleSystem.from_shape(shape, orientation_seed=0)
-        with pytest.warns(DeprecationWarning, match="order="):
-            old = run_algorithm(DLEAlgorithm(), system,
-                                scheduler_order="reversed", seed=0)
-        system = ParticleSystem.from_shape(shape, orientation_seed=0)
-        new = run_algorithm(DLEAlgorithm(), system, order="reversed", seed=0)
-        assert (old.rounds, old.moves) == (new.rounds, new.moves)
-
-    def test_make_scheduler_rng_warns_and_seeds(self):
-        with pytest.warns(DeprecationWarning, match="seed="):
-            scheduler = make_scheduler("sweep", rng=42)
-        assert scheduler.seed == 42

@@ -42,7 +42,7 @@ EXPECTED_RULES = {
     "S201", "S202", "S203",
     "T301", "T302",
     "L401", "L402",
-    "A501", "A502", "A503",
+    "A501", "A502",
 }
 
 
@@ -535,12 +535,6 @@ A502_VIOLATION = """
 from repro.core.dle import DLEAlgorithm
 """
 
-A503_VIOLATION = """
-def drive(system, algorithm):
-    return run_algorithm(system, algorithm, scheduler_order="random")
-"""
-
-
 class TestApiHygiene:
     def test_dangling_export_caught(self):
         findings = lint_source(A501_VIOLATION)
@@ -560,14 +554,6 @@ class TestApiHygiene:
 
     def test_internal_import_allowed_in_src(self):
         assert lint_source(A502_VIOLATION, role="src") == []
-
-    def test_deprecated_scheduler_order_caught(self):
-        assert codes(lint_source(A503_VIOLATION)) == ["A503"]
-
-    def test_deprecated_rng_on_shim_target_caught(self):
-        source = ("def drive(system, algorithm):\n"
-                  "    return run_algorithm(system, algorithm, rng=3)\n")
-        assert codes(lint_source(source)) == ["A503"]
 
     def test_live_rng_argument_clean(self):
         source = ("def rebuild(data, generator):\n"
@@ -715,6 +701,7 @@ STRICT_TARGETS = (
     "src/repro/state.py",
     "src/repro/telemetry",
     "src/repro/orchestrator/transport.py",
+    "src/repro/orchestrator/lease.py",
     "src/repro/lint",
 )
 

@@ -8,6 +8,7 @@ entry point itself.
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -140,6 +141,38 @@ class TestFileTaskQueue:
         queue.complete(task_id, {"error": "lease expired"})
         payload = json.loads(queue.result_path(task_id).read_text())
         assert payload["record"] == {"rounds": 7} and "error" not in payload
+
+    def test_late_release_for_retry_keeps_the_new_owners_lease(self, tmp_path):
+        # Regression: a worker whose lease was reclaimed used to unlink the
+        # new owner's lease and re-enqueue the task, so a third worker ran
+        # it concurrently.
+        queue = FileTaskQueue(tmp_path / "q", lease_ttl=1.0)
+        task_id, _ = _enqueue(queue, CONFIG)
+        _, late = queue.claim("A")
+        assert queue.reclaim_stale(now=time.time() + 5) == [task_id]
+        _, owner = queue.claim("B")
+        late["attempt"] += 1
+        assert queue.release_for_retry(task_id, late) is False
+        lease = json.loads(queue.lease_path(task_id).read_text())
+        assert lease["worker"] == "B"
+        assert not queue.task_path(task_id).exists()
+        assert queue.claim("C") is None
+        # The owner's own release still works.
+        owner["attempt"] += 1
+        assert queue.release_for_retry(task_id, owner) is True
+        assert queue.claim("C")[1]["attempt"] == 2
+
+    def test_crashed_failure_report_is_recovered_by_reclaim(self, tmp_path):
+        # A worker that dies after taking its lease away to report a
+        # failure leaves a ``.reclaim`` file that the next reclaim recovers.
+        queue = FileTaskQueue(tmp_path / "q", lease_ttl=1.0)
+        task_id, _ = _enqueue(queue, CONFIG)
+        queue.claim("A")
+        private = queue._take_lease(task_id, "A")
+        assert private is not None and not queue.lease_path(task_id).exists()
+        assert queue.reclaim_stale(now=time.time() + 5) == [task_id]
+        assert not private.exists()
+        assert queue.claim("B")[1]["attempt"] == 1
 
     def test_orphaned_reclaim_file_is_recovered(self, tmp_path):
         # A reclaimer that dies between renaming the stale lease away and
@@ -297,6 +330,37 @@ class TestWorker:
         payload = json.loads(queue.result_path(task_id).read_text())
         assert "synthetic worker failure" in payload["error"]
         assert payload["attempt"] == 3
+
+    def test_racing_reclaims_and_failure_reports_lose_no_task(
+            self, tmp_path, monkeypatch):
+        # More workers than tasks, a TTL as short as the heartbeat period
+        # and a tiny switch interval: reclaims race the owners' own failure
+        # reports.  Every task must still end as exactly one terminal
+        # failure with its full budget spent, leaving nothing behind.
+        def fails_slowly(shape, seed, order="random", engine="sweep"):
+            time.sleep(0.08)
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "flaky", fails_slowly)
+        queue = FileTaskQueue(tmp_path / "q", lease_ttl=0.05)
+        ids = [_enqueue(queue, RunConfig("flaky", "hexagon", 2, seed),
+                        index=seed, max_attempts=3)[0] for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [_start_worker(tmp_path / "q", worker_id=f"w{i}",
+                                     lease_ttl=0.05, poll=0.01, max_idle=1.0)
+                       for i in range(6)]
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        for task_id in ids:
+            result = json.loads(queue.result_path(task_id).read_text())
+            assert "record" not in result and result["attempt"] == 3
+        assert not any(queue.tasks.iterdir())
+        assert not any(queue.leases.iterdir())
 
     def test_long_task_does_not_count_as_idle_time(self, tmp_path,
                                                    monkeypatch):
