@@ -24,9 +24,10 @@ are adversaries over ordering, not over enabling.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..grid.coords import Point, grid_distance
+from .scheduler import OrderPolicy
 from .system import ParticleSystem
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "alternating_factory",
     "ADVERSARY_FACTORIES",
 ]
-
-OrderPolicy = Callable[[int, List[int], random.Random], List[int]]
 
 
 def _reference_point(system: ParticleSystem) -> Point:

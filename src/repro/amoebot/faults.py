@@ -26,8 +26,8 @@ boundaries.  Three independent fault families:
 
 ``shape``
     Seeded add/remove of boundary particles mid-run.  Removals are
-    validated against the incremental :class:`~repro.grid.shape.Shape`
-    connectivity rules (only non-articulation boundary points go), adds
+    validated by a :class:`~repro.grid.shape.Shape` connectivity check
+    (only non-articulation boundary points go), adds
     attach a fresh particle to a random empty point adjacent to the
     shape — both connectivity-preserving by construction.
 
@@ -378,9 +378,9 @@ class FaultInjector:
             particle = system.particle_at(point)
             if particle is None or particle.is_expanded:
                 continue
-            # Connectivity-preserving by the incremental Shape rules:
-            # removing an articulation point is rejected here, so the
-            # perturbed system always stays one component.
+            # Connectivity-preserving: removing an articulation point is
+            # rejected here, so the perturbed system always stays one
+            # component.
             if not shape.without(point).is_connected():
                 continue
             pid = particle.particle_id

@@ -74,17 +74,12 @@ __all__ = [
     "run_algorithm",
 ]
 
+#: A user-supplied activation-order policy:
+#: ``(round_index, ids, rng) -> ids`` returning a permutation of ``ids``.
 OrderPolicy = Callable[[int, List[int], random.Random], List[int]]
 
-
-def _round_robin_order(round_index: int, ids: List[int],
-                       rng: random.Random) -> List[int]:
-    return list(ids)
-
-
-def _reversed_order(round_index: int, ids: List[int],
-                    rng: random.Random) -> List[int]:
-    return list(reversed(ids))
+#: The built-in activation-order policy names (the ``order=`` choices).
+SCHEDULER_ORDERS: tuple = ("random", "reversed", "round_robin")
 
 
 def _key_function(ids: List[int], keys: List[float]):
@@ -95,22 +90,6 @@ def _key_function(ids: List[int], keys: List[float]):
         return keys.__getitem__
     positions = {pid: index for index, pid in enumerate(ids)}
     return lambda pid: keys[positions[pid]]
-
-
-def _draw_random_keys(ids: List[int], rng: random.Random):
-    """Draw one uniform key per particle and return a pid -> key function.
-
-    This is the single source of the ``random`` policy's RNG stream: both
-    the sweep's full-permutation sort and the event engine's awake-only
-    heap call it, which is what guarantees the two engines consume the RNG
-    identically and therefore order particles identically.
-    """
-    rand = rng.random
-    # ``iter(rand, None)`` never hits its sentinel, so this draws exactly
-    # len(ids) keys with no per-key bytecode — ~2x faster than a list
-    # comprehension for the one O(n)-per-round cost round-fairness forces
-    # on both engines.
-    return _key_function(ids, list(islice(iter(rand, None), len(ids))))
 
 
 class _UniformKeyStream:
@@ -180,27 +159,6 @@ class _UniformKeyStream:
 
             self.getstate = getstate
             self.setstate = setstate
-
-
-def _random_order(round_index: int, ids: List[int],
-                  rng: random.Random) -> List[int]:
-    # Sorting by independent uniform keys yields a uniformly random
-    # permutation (key collisions have probability zero, and the stable
-    # sort breaks any tie by ascending id, deterministically).  This is
-    # several times faster per round than ``rng.shuffle`` because both the
-    # key draw and the sort run in C, and the per-round order generation is
-    # the one O(n) cost the event-driven engine cannot park away.
-    return sorted(ids, key=_draw_random_keys(ids, rng))
-
-
-_POLICIES: Dict[str, OrderPolicy] = {
-    "round_robin": _round_robin_order,
-    "reversed": _reversed_order,
-    "random": _random_order,
-}
-
-#: The built-in activation-order policy names (the ``order=`` choices).
-SCHEDULER_ORDERS: tuple = tuple(sorted(_POLICIES))
 
 
 @dataclass
@@ -322,13 +280,11 @@ class SequentialScheduler:
             # per-round O(n log n) validation would dominate small rounds.
             self._validate_order = True
         else:
-            try:
-                self._policy = _POLICIES[order]
-            except KeyError:
+            if order not in SCHEDULER_ORDERS:
                 raise ValueError(
                     f"unknown scheduler order {order!r}; "
-                    f"known: {sorted(_POLICIES)}"
-                ) from None
+                    f"known: {list(SCHEDULER_ORDERS)}"
+                )
             self.order_name = order
             self._validate_order = False
         self.seed = seed
@@ -538,10 +494,11 @@ class SequentialScheduler:
 
     def _round_order(self, system: ParticleSystem, round_index: int,
                      rng: random.Random) -> List[int]:
-        """The full activation order for one round, policy-validated."""
+        """The full activation order a user-supplied policy gives for one
+        round, validated to be a permutation of the particle ids."""
         ids = system.particle_ids()
         order = self._policy(round_index, ids, rng)
-        if self._validate_order and sorted(order) != sorted(ids):
+        if sorted(order) != sorted(ids):
             raise ValueError(
                 "scheduler order policy must activate every particle "
                 "exactly once per round"
@@ -564,6 +521,8 @@ class SequentialScheduler:
             excluded = done | injector.crashed.keys()
         name = None if self._validate_order else self.order_name
         if name == "random":
+            # Sorting by independent uniform keys yields a uniformly random
+            # permutation (the stable sort breaks any tie by ascending id).
             # Draw keys for the *full* id list (the RNG stream the event
             # engine reproduces), then order only the live particles: the
             # sub-order of a stable key sort is the same whether or not the
@@ -794,11 +753,11 @@ class EventDrivenScheduler(SequentialScheduler):
         for the built-in policies, or None for user-supplied policies.
 
         For the ``random`` policy the keys are drawn exactly as
-        :func:`_random_order` draws them (same RNG stream, same
-        key-then-ascending-id tie order), so the event engine schedules the
-        awake particles in precisely the sub-order the sweep would have
-        activated them in — without materialising, sorting, or walking the
-        full permutation.
+        :meth:`SequentialScheduler._run_round` draws them (same RNG stream,
+        same key-then-ascending-id tie order), so the event engine
+        schedules the awake particles in precisely the sub-order the sweep
+        would have activated them in — without materialising, sorting, or
+        walking the full permutation.
         """
         name = self.order_name
         if name == "random" and self._key_stream is not None:

@@ -35,7 +35,7 @@ Every operation that alters occupancy (``add_particle``, ``expand``,
 points whose occupancy changed (gained, lost, or switched occupant),
 together with the ids of every particle whose visible neighbourhood those
 points touch — the occupants of the dirty points and of the points adjacent
-to them.  Three consumers are built on the events:
+to them.  Two consumers are built on the events:
 
 * the **cached neighbor index** behind :meth:`ParticleSystem.neighbors_of`
   — neighbour lists are computed once and reused until an event touches
@@ -43,13 +43,7 @@ to them.  Three consumers are built on the events:
   dictionary lookups,
 * the :class:`~repro.amoebot.scheduler.EventDrivenScheduler`, which parks
   quiescent particles and uses the events to re-wake only the particles
-  adjacent to a change (see :meth:`add_change_listener`), and
-* the **incremental shape tracker** behind :meth:`ParticleSystem.shape`:
-  occupancy gains and losses since the last snapshot are recorded as an
-  ordered delta stream, and the next ``shape()`` call patches the previous
-  snapshot's memoised connectivity / outer-face / hole state through those
-  deltas (:meth:`repro.grid.shape.Shape._apply_deltas`) instead of
-  recomputing the geometry from scratch.
+  adjacent to a change (see :meth:`add_change_listener`).
 """
 
 from __future__ import annotations
@@ -86,32 +80,9 @@ class IllegalMoveError(RuntimeError):
 
 def _draw_orientations(seed: int, count: int) -> List[int]:
     """The orientation stream of :meth:`ParticleSystem.from_shape`:
-    ``count`` draws of ``random.Random(seed).randrange(6)``.
-
-    When numpy is importable the stdlib generator's Mersenne Twister state
-    is transplanted into a ``numpy.random.MT19937`` bit generator and the
-    rejection sampling ``randrange`` performs (top three bits of one raw
-    word per attempt, retried while >= 6) is replayed vectorised — the
-    resulting sequence is integer-identical to the stdlib draws, just bulk
-    (asserted by tests/test_system.py)."""
+    ``count`` draws of ``random.Random(seed).randrange(6)``."""
     rng = random.Random(seed)
-    try:
-        import numpy
-    except ImportError:
-        return [rng.randrange(6) for _ in range(count)]
-    internal = rng.getstate()[1]
-    bits = numpy.random.MT19937()
-    bits.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": numpy.array(internal[:-1], dtype=numpy.uint32),
-                  "pos": internal[-1]},
-    }
-    out: List[int] = []
-    while len(out) < count:
-        words = bits.random_raw(2 * (count - len(out)) + 8)
-        draws = words >> 29
-        out.extend(draws[draws < 6][:count - len(out)].tolist())
-    return out
+    return [rng.randrange(6) for _ in range(count)]
 
 
 class ParticleSystem:
@@ -123,7 +94,7 @@ class ParticleSystem:
         self._occupancy: Dict[int, int] = {}
         #: Tuple-point mirror of the occupancy keys, maintained per event —
         #: the source of the public ``occupied_points()`` view and of the
-        #: shape tracker's delta stream.
+        #: ``shape()`` snapshot.
         self._points: Set[Point] = set()
         self._next_id = 0
         #: Total number of expansion / contraction / handover operations
@@ -139,10 +110,6 @@ class ParticleSystem:
         self._version = 0
         self._shape_cache: Optional[Shape] = None
         self._shape_version = -1
-        #: Ordered ``(point, added)`` occupancy deltas since the cached
-        #: shape snapshot, or None when delta tracking is disarmed (no
-        #: snapshot yet, or the stream outgrew the worth of patching).
-        self._shape_deltas: Optional[List[Tuple[Point, bool]]] = None
         self._occupied_cache: Optional[FrozenSet[Point]] = None
         self._occupied_version = -1
         self._ids_cache: Optional[List[int]] = None
@@ -194,7 +161,7 @@ class ParticleSystem:
         return ids
 
     def _notify_change(self, packed_points: Sequence[int]) -> None:
-        """Record the occupancy deltas at ``packed_points``, invalidate the
+        """Mirror the occupancy changes at ``packed_points``, invalidate the
         neighbor index around them and publish the event to subscribers.
         Cheap when nothing is cached or subscribed.  Expansions,
         contractions and handovers dirty exactly one point, so that case
@@ -202,26 +169,15 @@ class ParticleSystem:
         self._version += 1
         occupancy = self._occupancy
         mirror = self._points
-        deltas = self._shape_deltas
         dirty: List[Point] = []
         for packed in packed_points:
             point = ((packed >> _SHIFT) - _OFFSET,
                      (packed & _MASK) - _OFFSET)
             dirty.append(point)
             if packed in occupancy:
-                if point not in mirror:
-                    mirror.add(point)
-                    if deltas is not None:
-                        deltas.append((point, True))
-            elif point in mirror:
+                mirror.add(point)
+            else:
                 mirror.discard(point)
-                if deltas is not None:
-                    deltas.append((point, False))
-        if deltas is not None and len(deltas) * 3 > len(mirror) + 48:
-            # The delta stream outgrew the worth of patching: replaying it
-            # would cost more than rebuilding, so the next shape() poll
-            # recomputes from scratch and re-arms the tracker.
-            self._shape_deltas = None
         cache = self._neighbor_cache
         if not cache and not self._listeners:
             return
@@ -281,11 +237,9 @@ class ParticleSystem:
         system._version += 1
         if isinstance(shape, Shape):
             # Seed the shape cache with the caller's instance: its memoised
-            # faces / connectivity carry over to algorithm setup, and the
-            # delta tracker starts patching from it.
+            # faces / connectivity carry over to algorithm setup.
             system._shape_cache = shape
             system._shape_version = system._version
-            system._shape_deltas = []
         return system
 
     def add_particle(self, point: Point, orientation: int = 0) -> Particle:
@@ -308,7 +262,7 @@ class ParticleSystem:
         exists for the fault layer's dynamic shape perturbations (and for
         tests building configurations).  The vacated point publishes a
         dirty-neighborhood event exactly like a contraction, so caches,
-        the event engine and the shape tracker all see the departure.
+        the event engine and the ``shape()`` snapshot all see the departure.
         Connectivity is *not* checked here — callers wanting a
         connectivity-preserving removal validate via
         ``shape().without(point).is_connected()`` first.
@@ -385,35 +339,24 @@ class ParticleSystem:
         version the dirty-neighborhood events bump, so repeated calls while
         nothing moves (algorithm setup, instrumentation, metrics) share one
         instance — and therefore share its memoised faces / connectivity.
-
-        When the previous snapshot is stale, the new one is **patched**
-        from it through the occupancy deltas recorded since (incremental
-        connectivity / outer-face / hole maintenance) rather than
-        recomputed from scratch; a full rebuild only happens when no
-        snapshot exists yet or the delta stream outgrew the worth of
-        patching.
+        After movement the next call builds a fresh snapshot from the
+        occupied points; its global structure is computed lazily, on first
+        use.
         """
         if self._shape_cache is not None and self._shape_version == self._version:
             return self._shape_cache
-        base = self._shape_cache
-        deltas = self._shape_deltas
-        if base is not None and deltas is not None:
-            shape = base._apply_deltas(deltas)
-        else:
-            _metric("shape.rebuilds").inc()
-            shape = Shape(self._points)
+        _metric("shape.rebuilds").inc()
+        shape = Shape(self._points)
         self._shape_cache = shape
         self._shape_version = self._version
-        self._shape_deltas = []
         return shape
 
     def is_connected(self) -> bool:
         """Whether the set of occupied points is connected.
 
         Served by the cached :meth:`shape` snapshot's memoised connectivity:
-        while nothing moves, repeated calls cost two attribute reads, and
-        after movement the incremental shape state usually still knows the
-        answer without a BFS.
+        while nothing moves, repeated calls cost two attribute reads; after
+        movement the first call runs one BFS over the new snapshot.
         """
         return self.shape().is_connected()
 
@@ -769,7 +712,6 @@ class ParticleSystem:
         self._version += 1
         self._shape_cache = None
         self._shape_version = -1
-        self._shape_deltas = None
         self._occupied_cache = None
         self._occupied_version = -1
         self._ids_cache = None

@@ -235,20 +235,6 @@ class ErosionLeaderElection(AmoebotAlgorithm, StatusMixin):
         self._initially_active = {int(pid)
                                   for pid in state["initially_active"]}
 
-    @staticmethod
-    def _is_sce(eligible_dirs: List[int]) -> bool:
-        """Same purely local SCE test as Algorithm DLE: 1-3 eligible
-        neighbours forming one contiguous clockwise arc."""
-        k = len(eligible_dirs)
-        if k == 0 or k > 3:
-            return False
-        eligible_set = set(eligible_dirs)
-        starts = sum(
-            1 for d in eligible_set
-            if (d - 1) % NUM_DIRECTIONS not in eligible_set
-        )
-        return starts == 1
-
 
 @dataclass
 class ErosionOutcome:

@@ -442,28 +442,6 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
 
     # -- helpers ----------------------------------------------------------------
 
-    @staticmethod
-    def _is_sce(eligible_dirs: List[int]) -> bool:
-        """SCE test from purely local information.
-
-        The non-eligible directions must form a single contiguous cyclic arc
-        (single local boundary; since ``S_e`` stays simply connected, Lemma
-        11, that boundary is automatically an outer one) of size at least
-        three (strict convexity: boundary count ``|B| - 2 > 0``).
-        Equivalently: 1-3 eligible directions forming a contiguous arc.
-        """
-        k = len(eligible_dirs)
-        if k == 0 or k > 3:
-            return False
-        eligible_set = set(eligible_dirs)
-        # The eligible directions form a contiguous cyclic arc iff there is
-        # exactly one index d with d eligible and (d - 1) mod 6 not eligible.
-        starts = sum(
-            1 for d in eligible_set
-            if (d - 1) % NUM_DIRECTIONS not in eligible_set
-        )
-        return starts == 1
-
     def _decided_transition_wake(self, pid: int,
                                  adjacent: List[Tuple[Particle, int]]
                                  ) -> List[Particle]:

@@ -35,9 +35,9 @@ KNOWN_METRICS: FrozenSet[str] = frozenset({
     # filesystem task queue (orchestrator/queue.py)
     "queue.claims", "queue.completes", "queue.enqueued",
     "queue.heartbeats", "queue.reclaims", "queue.retries",
-    # incremental shape maintenance (grid/shape.py)
-    "shape.delta_replays", "shape.deltas_applied", "shape.face_floods",
-    "shape.rebuilds", "shape.refloods",
+    # shape global structure: face floods (grid/shape.py) and snapshot
+    # rebuilds (amoebot/system.py)
+    "shape.face_floods", "shape.rebuilds",
     # sweep outcome counters (orchestrator/pool.py); the per-source
     # counter is "sweep." + source with "-" mapped to "_"
     "sweep.executed", "sweep.cached", "sweep.resumed", "sweep.gave_up",

@@ -1,14 +1,12 @@
-"""Incremental shape maintenance must be indistinguishable from rebuilds.
+"""Derived shapes and ``ParticleSystem.shape()`` snapshots.
 
-The core property of this layer: a :class:`~repro.grid.shape.Shape`
-derived through single-point deltas (``with_point`` / ``without`` /
-``moved``, or the batched delta replay behind
-``ParticleSystem.shape()``) carries exactly the connectivity, holes,
-boundary and area a from-scratch ``Shape`` of the same points computes.
-The fuzzers below drive both layers through long random
-expand/contract/handover/teleport sequences — including hole creation,
-splits, merges and temporary disconnection — comparing against a fresh
-rebuild after every step.
+A :class:`~repro.grid.shape.Shape` derived through a single-point delta
+(``with_point`` / ``without`` / ``moved``) must report the connectivity,
+holes, boundary and area of its new point set — including hole creation,
+splits, merges and disconnection.  The fuzzer drives a particle system
+through long random expand/contract/handover/teleport sequences and checks
+that its cached ``shape()`` snapshot always matches a fresh ``Shape`` of
+the occupied points.
 """
 
 import random
@@ -34,24 +32,16 @@ def assert_same_global_state(candidate: Shape, reference_points) -> None:
     assert candidate.hole_points == fresh.hole_points
     assert candidate.area_points == fresh.area_points
     assert candidate.boundary_points == fresh.boundary_points
-    # outer_boundary exercises point_in_outer_face over the patched
-    # outer-face set and the hole list together.
+    # outer_boundary exercises point_in_outer_face over the outer-face
+    # set and the hole list together.
     assert candidate.outer_boundary == fresh.outer_boundary
 
 
 class TestShapeDeltaConstructors:
-    def test_without_patches_computed_state(self):
-        shape = Shape(HEX)
-        shape.holes, shape.is_connected()  # force the memos
-        smaller = shape.without((0, 0))
-        assert smaller._faces_computed  # patched, not discarded
-        assert_same_global_state(smaller, set(HEX) - {(0, 0)})
-        # Removing an interior point opens a hole.
-        assert smaller.holes == [frozenset({(0, 0)})]
-
     def test_with_point_fills_hole(self):
         shape = Shape(HEX).without((0, 0))
-        shape.holes
+        # Removing an interior point opens a hole.
+        assert shape.holes == [frozenset({(0, 0)})]
         refilled = shape.with_point((0, 0))
         assert refilled.holes == []
         assert_same_global_state(refilled, set(HEX))
@@ -124,54 +114,17 @@ class TestShapeDeltaConstructors:
         assert repaired.is_connected()
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_fuzz_shape_deltas_match_rebuild(seed):
-    """Random add/remove/move sequences on a raw Shape."""
-    rng = random.Random(seed)
-    points = set(make_shape("blob", 4, seed=seed).points)
-    shape = Shape(points)
-    shape.holes, shape.is_connected()
-    for _ in range(120):
-        op = rng.random()
-        if op < 0.45 and len(points) > 2:
-            victim = rng.choice(sorted(points))
-            shape = shape.without(victim)
-            points.discard(victim)
-        elif op < 0.8:
-            base = rng.choice(sorted(points))
-            candidates = [u for u in neighbors(base) if u not in points]
-            if not candidates:
-                continue
-            target = rng.choice(candidates)
-            shape = shape.with_point(target)
-            points.add(target)
-        else:
-            sources = sorted(points)
-            src = rng.choice(sources)
-            candidates = [u for u in neighbors(src) if u not in points]
-            if not candidates or len(points) < 2:
-                continue
-            dst = rng.choice(candidates)
-            shape = shape.moved(src, dst)
-            points.discard(src)
-            points.add(dst)
-        assert_same_global_state(shape, points)
-        # Keep the memos warm so the next delta patches them.
-        shape.holes, shape.is_connected()
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("family", ["hexagon", "holey"])
 def test_fuzz_system_shape_tracker_matches_rebuild(family, seed):
-    """The acceptance property: random expand / contract / handover /
-    teleport sequences keep the incremental ``ParticleSystem.shape()``
-    state (connectivity, holes, boundary, area) identical to a
-    from-scratch rebuild."""
+    """Random expand / contract / handover / teleport sequences keep the
+    cached ``ParticleSystem.shape()`` snapshot (connectivity, holes,
+    boundary, area) identical to a from-scratch rebuild."""
     rng = random.Random(seed)
     system = ParticleSystem.from_shape(
         make_shape(family, 3, seed=seed), orientation_seed=seed)
-    # Force the cached snapshot to carry faces + connectivity so the
-    # tracker patches real state, not empty memos.
+    # Force the cached snapshot to carry faces + connectivity, so a stale
+    # snapshot served after a move would answer from wrong memos.
     system.shape().holes
     system.shape().is_connected()
     for step in range(160):
@@ -208,7 +161,7 @@ def test_fuzz_system_shape_tracker_matches_rebuild(family, seed):
         if step % 2 == 0:
             snapshot = system.shape()
             assert_same_global_state(snapshot, system.occupied_points())
-            # Touch the memos so the next poll patches computed state.
+            # Touch the memos of the snapshot about to go stale.
             snapshot.holes
             snapshot.is_connected()
     snapshot = system.shape()
